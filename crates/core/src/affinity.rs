@@ -1,4 +1,4 @@
-//! CPU affinity pinning for campaign workers and `repro dist` children.
+//! CPU affinity pinning for campaign workers and `repro work` processes.
 //!
 //! Multi-process campaign fan-out wants each worker process (and each
 //! in-process worker thread) parked on one core: pinning stops the OS
@@ -22,9 +22,8 @@
 /// 1024-bit `cpu_set_t`, or when the kernel rejects the mask (e.g. the
 /// core does not exist or is outside the process's cgroup cpuset).
 ///
-/// Child processes inherit the mask across `fork`/`exec`, which is how
-/// `repro dist --pin` spreads its shard children: the parent passes each
-/// child a `--pin <core>` argument and the child pins itself first thing.
+/// Child processes inherit the mask across `fork`/`exec`. A dispatcher
+/// worker started with `repro work --pin <core>` pins itself first thing.
 pub fn pin_to_core(core: usize) -> bool {
     pin_impl(core)
 }

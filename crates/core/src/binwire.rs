@@ -1,13 +1,11 @@
 //! Length-prefixed binary wire encoding for campaign results.
 //!
 //! JSON (via [`crate::json::JsonWriter`] / [`crate::jsonval`]) is the
-//! debug and interop form of every result that crosses a process
-//! boundary — readable, greppable, and the byte-stable format the
-//! committed `BENCH_*.json` trajectory depends on. But PR 5's dist
-//! accounting showed shard transport is a measurable slice of the
-//! fan-out wall time: a quick-matrix shard is dominated by per-cell
-//! latency arrays, and formatting/parsing tens of thousands of decimal
-//! `u64`s costs far more than moving their raw bytes.
+//! debug and interop form of every result — readable, greppable, and
+//! the byte-stable format the committed `BENCH_*.json` trajectory
+//! depends on. But a quick-matrix shard is dominated by per-cell latency
+//! arrays, and formatting/parsing tens of thousands of decimal `u64`s
+//! costs far more than moving their raw bytes.
 //!
 //! This module is the compact twin: a little-endian, length-prefixed
 //! binary encoding for [`Report`], `CampaignShard` and `CampaignResult`
@@ -15,9 +13,9 @@
 //! [`crate::campaign`] on top of the [`BinWriter`]/[`BinReader`]
 //! primitives here). Every document opens with the one-byte [`MAGIC`]
 //! — a UTF-8 continuation byte no JSON document can start with — so
-//! readers negotiate per payload by looking at the first byte
-//! ([`is_binary`]): `repro dist` parents, `repro submit` clients and
-//! the dispatch coordinator accept either form on the same channel.
+//! readers tell the forms apart by looking at the first byte
+//! ([`is_binary`]). The dispatcher sends its bulk frames (shard,
+//! checkpoint, result) in this form and its control frames as JSON.
 //!
 //! The decode side is a trust boundary exactly like [`crate::jsonval`]:
 //! truncated buffers, bad magic/kind bytes, over-long length prefixes
@@ -26,8 +24,6 @@
 //! bytes actually present before anything is reserved). Round trips are
 //! pinned to the JSON path by proptests in `tests/binwire_roundtrip.rs`:
 //! decode(encode(x)) re-serializes to JSON byte-identically to `x`.
-
-use std::fmt;
 
 use crate::jsonval::WireError;
 use crate::report::{intern_scheduler_name, Report};
@@ -50,39 +46,6 @@ pub const KIND_CHECKPOINT: u8 = b'K';
 #[inline]
 pub fn is_binary(first: u8) -> bool {
     first == MAGIC
-}
-
-/// Which encoding a result payload crosses a process boundary in.
-///
-/// Parsed from the `--wire` CLI flag; readers never need it (they
-/// negotiate by first byte), writers use it to pick the emit path.
-#[derive(Copy, Clone, Eq, PartialEq, Debug, Default)]
-pub enum WireFormat {
-    /// Binary binwire documents — the compact production form.
-    #[default]
-    Bin,
-    /// JSON via [`crate::json::JsonWriter`] — the debug/interop form.
-    Json,
-}
-
-impl WireFormat {
-    /// Parses a `--wire` flag value.
-    pub fn parse(s: &str) -> Result<WireFormat, String> {
-        match s {
-            "bin" => Ok(WireFormat::Bin),
-            "json" => Ok(WireFormat::Json),
-            other => Err(format!("unknown wire format {other:?} (use json or bin)")),
-        }
-    }
-}
-
-impl fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireFormat::Bin => write!(f, "bin"),
-            WireFormat::Json => write!(f, "json"),
-        }
-    }
 }
 
 /// Appends binwire primitives to a growing byte buffer. All integers are
@@ -392,15 +355,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_format_parses_and_renders() {
-        assert_eq!(WireFormat::parse("bin"), Ok(WireFormat::Bin));
-        assert_eq!(WireFormat::parse("json"), Ok(WireFormat::Json));
-        assert!(WireFormat::parse("yaml").is_err());
-        assert_eq!(WireFormat::Bin.to_string(), "bin");
-        assert_eq!(WireFormat::default(), WireFormat::Bin);
-    }
 
     #[test]
     fn negotiation_distinguishes_json_from_binary() {

@@ -34,8 +34,9 @@
 //! # The multi-process layer
 //!
 //! Thread scaling tops out where the workers start sharing an allocator
-//! and an LLC; process fan-out sidesteps both, and the same wire format
-//! crosses a socket to another machine. The pieces compose:
+//! and an LLC; process fan-out sidesteps both, and the same shard
+//! documents cross a socket to another machine (the
+//! [`crate::dispatch`] fleet). The pieces compose:
 //!
 //! * [`ShardSpec`] partitions the cell matrix deterministically *by
 //!   stable cell key* ([`shard_of`]): shard membership depends only on
@@ -43,13 +44,14 @@
 //!   can compute its share without coordination.
 //! * [`Campaign::run_shard`] executes one shard's cells (workload-major,
 //!   one reused scratch) into a [`CampaignShard`], which serializes to
-//!   JSON and parses back ([`CampaignShard::from_json`]) with full
-//!   fidelity — the wire format `repro dist` children ship over stdout.
+//!   JSON or binwire and parses back ([`CampaignShard::from_json`],
+//!   [`CampaignShard::from_bin`]) with full fidelity — what a dispatcher
+//!   worker ships in its `shard_done` frame.
 //! * [`merge`] reassembles a complete shard set into a [`CampaignResult`]
 //!   bit-identical to the single-process run, for any shard count and
 //!   any merge order.
-//! * [`Campaign::pin_workers`] (and the `repro dist --pin` protocol for
-//!   child processes) parks each worker on one core via
+//! * [`Campaign::pin_workers`] (and `repro work --pin` for dispatcher
+//!   worker processes) parks each worker on one core via
 //!   [`crate::affinity`], keeping its workload-major trace stream
 //!   LLC-hot across cells.
 //!
@@ -519,7 +521,7 @@ impl ShardSpec {
 }
 
 impl fmt::Display for ShardSpec {
-    /// The `index/count` form the `repro shard` CLI accepts.
+    /// The `index/count` form logs and error messages print.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
     }

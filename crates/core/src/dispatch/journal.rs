@@ -12,13 +12,14 @@
 //!
 //! # Record format
 //!
-//! One record is a one-line JSON header followed by the frame itself,
-//! re-encoded with the binary wire codec (checkpoint and shard payloads
-//! are bulky; the header stays greppable):
+//! One record is a one-line JSON header followed by the frame itself in
+//! its wire encoding ([`Message::to_frame_bytes`]: a JSON line for
+//! `submit`, a binary frame for the bulky `checkpoint` and `shard_done`
+//! payloads; the header stays greppable):
 //!
 //! ```text
 //! {"type":"journal","now_ms":1234,"conn":7,"peer":"10.0.0.3"}\n
-//! <binary frame: [0xB1][u32 LE len][payload]\n>
+//! <frame: {"type":"submit",...}\n  or  [0xB1][u32 LE len][payload]\n>
 //! ```
 //!
 //! Appends are fsync'd per record — a journal append that returned `Ok`
@@ -31,7 +32,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::Path;
 
-use crate::binwire::WireFormat;
 use crate::json::JsonWriter;
 use crate::jsonval::JsonValue;
 
@@ -98,7 +98,7 @@ impl Journal {
         header.end_object();
         let mut record = header.finish().into_bytes();
         record.push(b'\n');
-        record.extend_from_slice(&msg.to_frame_bytes(WireFormat::Bin));
+        record.extend_from_slice(&msg.to_frame_bytes());
         // One write, then fsync: the record is on disk in order, and a
         // crash can only ever truncate the final record.
         self.file.write_all(&record)?;

@@ -1,30 +1,24 @@
-//! The dispatcher's wire protocol: newline-delimited frames, JSON or
-//! binary, negotiated per frame by first byte.
+//! The dispatcher's wire protocol: control frames JSON, bulk frames
+//! binary, told apart per frame by the first byte.
 //!
 //! Control messages are one JSON object on one line, terminated by `\n`
-//! — the same dependency-free [`crate::json::JsonWriter`] /
-//! [`crate::jsonval`] stack the `repro dist` shard format uses, so a
-//! worker on another machine needs nothing but a TCP connection and this
-//! module. The object's `"type"` field names the message; the payloads
-//! reuse the campaign wire formats
-//! ([`CampaignShard::to_json`](crate::campaign::CampaignShard::to_json),
-//! [`CampaignResult::to_json`](crate::campaign::CampaignResult::to_json))
-//! verbatim, so shard bytes that cross the socket are byte-identical to
-//! the ones `repro dist` ships over stdout. A v2 submission may carry a
-//! whole [`Scenario`] document inline (the
-//! [`JobSpec`] half of `submit`/`assign`), embedded with
-//! [`Scenario::to_json`](crate::scenario::Scenario::to_json) verbatim —
-//! scenario documents are small, so they stay on the JSON control plane
-//! even under `--wire bin`.
+//! — the dependency-free [`crate::json::JsonWriter`] /
+//! [`crate::jsonval`] stack, so a worker on another machine needs
+//! nothing but a TCP connection and this module. The object's `"type"`
+//! field names the message. A v2 submission may carry a whole
+//! [`Scenario`] document inline (the [`JobSpec`] half of
+//! `submit`/`assign`), embedded with
+//! [`Scenario::to_json`](crate::scenario::Scenario::to_json) verbatim;
+//! scenario documents are small, so they stay on the JSON control plane.
 //!
-//! The two payload carriers — `shard_done` and `result` — additionally
-//! have a compact binary form (the production default): a
-//! [`binwire::MAGIC`]-opened, length-prefixed frame carrying the
-//! [`crate::binwire`] twin of the same document. Readers never need to
-//! be told which form a peer speaks: [`binwire::MAGIC`] is a UTF-8
+//! The three bulk carriers — `shard_done`, `checkpoint` and `result` —
+//! are always sent as [`binwire::MAGIC`]-opened, length-prefixed frames
+//! carrying the [`crate::binwire`] form of the document
+//! ([`Message::to_frame_bytes`] is the one encoding rule). Readers tell
+//! the two apart by the first byte: [`binwire::MAGIC`] is a UTF-8
 //! continuation byte no JSON line can start with, so [`FrameReader`]
-//! decides per frame from the first byte, and peers may mix formats
-//! freely on one connection.
+//! decides per frame. Readers also still accept the JSON form of the
+//! bulk types that [`Message::to_frame`] emits.
 //!
 //! The read side is a trust boundary: frames come from the network, so
 //! truncated lines, malformed JSON, bad binary framing, unknown message
@@ -37,7 +31,7 @@ use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 use std::sync::Arc;
 
-use crate::binwire::{self, BinReader, BinWriter, WireFormat};
+use crate::binwire::{self, BinReader, BinWriter};
 use crate::campaign::{CampaignResult, CampaignShard, ShardCheckpoint, ShardSpec};
 use crate::json::JsonWriter;
 use crate::jsonval::{JsonValue, WireError};
@@ -136,43 +130,29 @@ impl JobSpec {
 pub struct WorkerCaps {
     /// Host cores available to this worker.
     pub cores: usize,
-    /// Whether the worker can pin itself to a core
-    /// (`sched_setaffinity`; Linux only).
-    pub pinning: bool,
-    /// Whether the explicit AVX2 way-scan kernels are available.
-    pub avx2: bool,
     /// Whether the worker executes inline scenario documents (vs only
     /// catalog campaigns it has a local runner for).
     pub scenarios: bool,
-    /// Wire formats the worker emits `shard_done` frames in.
-    pub wires: Vec<WireFormat>,
 }
 
 impl WorkerCaps {
-    /// Probes the running host: core count, pinning support, AVX2, both
-    /// wire formats, scenarios on. What `repro work` registers with.
+    /// Probes the running host: core count, scenarios on. What `repro
+    /// work` registers with.
     pub fn detect() -> WorkerCaps {
         WorkerCaps {
             cores: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            pinning: cfg!(target_os = "linux"),
-            avx2: detect_avx2(),
             scenarios: true,
-            wires: vec![WireFormat::Json, WireFormat::Bin],
         }
     }
 
     /// The conservative capabilities assumed for a v1 `register` frame
-    /// that carries no capability fields: one core, no pinning, no
-    /// AVX2, catalog jobs only, JSON `shard_done` frames.
+    /// that carries no capability fields: one core, catalog jobs only.
     pub fn legacy() -> WorkerCaps {
         WorkerCaps {
             cores: 1,
-            pinning: false,
-            avx2: false,
             scenarios: false,
-            wires: vec![WireFormat::Json],
         }
     }
 
@@ -180,26 +160,17 @@ impl WorkerCaps {
     fn write_fields(&self, w: &mut JsonWriter) {
         w.key("cores");
         w.number_u64(self.cores as u64);
-        w.key("pinning");
-        w.boolean(self.pinning);
-        w.key("avx2");
-        w.boolean(self.avx2);
         w.key("scenarios");
         w.boolean(self.scenarios);
-        w.key("wires");
-        w.begin_array();
-        for wire in &self.wires {
-            w.string(&wire.to_string());
-        }
-        w.end_array();
     }
 
     /// Reads capabilities from a `register` document. A frame with none
     /// of the capability fields is a v1 worker: [`WorkerCaps::legacy`].
-    /// A frame with *some* of them is malformed — partial declarations
-    /// would silently under- or over-promise.
+    /// A frame with only one of them is malformed — partial declarations
+    /// would silently under- or over-promise. Fields older workers still
+    /// send (`pinning`, `avx2`, `wires`) are ignored.
     fn from_doc(doc: &JsonValue) -> Result<WorkerCaps, WireError> {
-        let fields = ["cores", "pinning", "avx2", "scenarios", "wires"];
+        let fields = ["cores", "scenarios"];
         let present = fields.iter().filter(|f| doc.get(f).is_some()).count();
         if present == 0 {
             return Ok(WorkerCaps::legacy());
@@ -207,44 +178,17 @@ impl WorkerCaps {
         if present < fields.len() {
             return Err(WireError::new(
                 "register carries a partial capability declaration \
-                 (all of cores/pinning/avx2/scenarios/wires, or none)",
+                 (both of cores/scenarios, or neither)",
             ));
         }
         let cores = doc.req_u64("cores")? as usize;
         if cores == 0 {
             return Err(WireError::new("register declares zero cores"));
         }
-        let wires = doc
-            .req_array("wires")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| WireError::new("wires entries must be strings"))
-                    .and_then(|s| WireFormat::parse(s).map_err(WireError::new))
-            })
-            .collect::<Result<Vec<WireFormat>, WireError>>()?;
-        if wires.is_empty() {
-            return Err(WireError::new("register declares no wire formats"));
-        }
         Ok(WorkerCaps {
             cores,
-            pinning: doc.req_bool("pinning")?,
-            avx2: doc.req_bool("avx2")?,
             scenarios: doc.req_bool("scenarios")?,
-            wires,
         })
-    }
-}
-
-/// Host AVX2 probe for [`WorkerCaps::detect`].
-fn detect_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 
@@ -370,7 +314,7 @@ pub enum Message {
     ShardDone {
         /// The job key from the [`Message::Assign`] this answers.
         job: String,
-        /// The executed shard, same wire format as `repro dist`.
+        /// The executed shard.
         shard: CampaignShard,
     },
     /// Coordinator → submitter: the merged campaign, bit-identical to a
@@ -500,10 +444,10 @@ impl Message {
         frame
     }
 
-    /// Serializes the message under `wire`. Control frames are always
-    /// one-line JSON regardless of `wire`; under [`WireFormat::Bin`] the
-    /// two payload carriers ([`Message::ShardDone`], [`Message::Result`])
-    /// become length-prefixed binary frames instead:
+    /// Serializes the message for the wire — the single encoding rule.
+    /// Control frames are one-line JSON ([`Message::to_frame`]); the three
+    /// bulk carriers ([`Message::ShardDone`], [`Message::Checkpoint`],
+    /// [`Message::Result`]) are length-prefixed binary frames:
     ///
     /// ```text
     /// [MAGIC][payload len: u32 LE][payload][\n]
@@ -511,28 +455,25 @@ impl Message {
     /// result payload     = [MAGIC]['Z'][job: str][outcomes: str (JSON array)][binwire result]
     /// checkpoint payload = [MAGIC]['P'][job: str][binwire checkpoint]
     /// ```
-    pub fn to_frame_bytes(&self, wire: WireFormat) -> Vec<u8> {
-        match (wire, self) {
-            (WireFormat::Bin, Message::ShardDone { job, shard }) => {
+    pub fn to_frame_bytes(&self) -> Vec<u8> {
+        match self {
+            Message::ShardDone { job, shard } => {
                 let mut w = BinWriter::new(KIND_SHARD_DONE);
                 w.str(job);
                 w.raw(&shard.to_bin());
                 finish_binary_frame(w)
             }
-            (WireFormat::Bin, Message::Checkpoint { job, checkpoint }) => {
+            Message::Checkpoint { job, checkpoint } => {
                 let mut w = BinWriter::new(KIND_CHECKPOINT_FRAME);
                 w.str(job);
                 w.raw(&checkpoint.to_bin());
                 finish_binary_frame(w)
             }
-            (
-                WireFormat::Bin,
-                Message::Result {
-                    job,
-                    result,
-                    outcomes,
-                },
-            ) => {
+            Message::Result {
+                job,
+                result,
+                outcomes,
+            } => {
                 let mut w = BinWriter::new(KIND_RESULT_FRAME);
                 w.str(job);
                 w.str(&outcomes_json(outcomes));
@@ -1034,22 +975,12 @@ pub fn read_message(reader: &mut impl BufRead) -> Result<Option<Message>, ProtoE
     read_message_buffered(reader, &mut buf)
 }
 
-/// Writes one frame to `writer` under `wire` and flushes it, so a
-/// message is either fully on the wire or not sent at all from the
-/// peer's perspective.
-pub fn write_message_wire(
-    writer: &mut impl Write,
-    msg: &Message,
-    wire: WireFormat,
-) -> io::Result<()> {
-    writer.write_all(&msg.to_frame_bytes(wire))?;
-    writer.flush()
-}
-
-/// Writes one JSON frame — the debug/interop form. Payload-heavy paths
-/// take [`write_message_wire`] with a caller-chosen [`WireFormat`].
+/// Writes one frame to `writer` ([`Message::to_frame_bytes`]) and flushes
+/// it, so a message is either fully on the wire or not sent at all from
+/// the peer's perspective.
 pub fn write_message(writer: &mut impl Write, msg: &Message) -> io::Result<()> {
-    write_message_wire(writer, msg, WireFormat::Json)
+    writer.write_all(&msg.to_frame_bytes())?;
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -1162,10 +1093,8 @@ mod tests {
 
     #[test]
     fn partial_capability_declarations_are_refused() {
-        let err = Message::parse_frame(
-            "{\"type\":\"register\",\"name\":\"w\",\"cores\":4,\"pinning\":true}\n",
-        )
-        .unwrap_err();
+        let err = Message::parse_frame("{\"type\":\"register\",\"name\":\"w\",\"cores\":4}\n")
+            .unwrap_err();
         assert!(err.to_string().contains("partial"), "{err}");
     }
 
@@ -1276,17 +1205,13 @@ mod tests {
     #[test]
     fn binary_payload_frames_round_trip_through_the_reader() {
         for msg in [tiny_shard_done(), tiny_result()] {
-            let frame = msg.to_frame_bytes(WireFormat::Bin);
+            let frame = msg.to_frame_bytes();
             assert_eq!(frame[0], binwire::MAGIC);
             assert_eq!(*frame.last().unwrap(), b'\n');
 
             let mut r = FrameReader::new(BufReader::new(&frame[..]));
             let parsed = r.next_message().expect("parse").expect("one frame");
-            assert_eq!(
-                parsed.to_frame_bytes(WireFormat::Bin),
-                frame,
-                "byte-identical re-emission"
-            );
+            assert_eq!(parsed.to_frame_bytes(), frame, "byte-identical re-emission");
             // The decoded message's JSON twin matches the original's, so both
             // forms carry exactly the same document.
             assert_eq!(parsed.to_frame(), msg.to_frame());
@@ -1297,10 +1222,7 @@ mod tests {
     #[test]
     fn result_diagnostics_survive_both_framings() {
         let msg = tiny_result();
-        for frame in [
-            msg.to_frame().into_bytes(),
-            msg.to_frame_bytes(WireFormat::Bin),
-        ] {
+        for frame in [msg.to_frame().into_bytes(), msg.to_frame_bytes()] {
             let mut r = FrameReader::new(BufReader::new(&frame[..]));
             let Some(Message::Result { outcomes, .. }) = r.next_message().expect("parse") else {
                 panic!("expected a result frame");
@@ -1314,7 +1236,7 @@ mod tests {
     #[test]
     fn json_and_binary_frames_interleave_on_one_stream() {
         let mut bytes = Message::Heartbeat.to_frame().into_bytes();
-        bytes.extend_from_slice(&tiny_shard_done().to_frame_bytes(WireFormat::Bin));
+        bytes.extend_from_slice(&tiny_shard_done().to_frame_bytes());
         bytes.extend_from_slice(
             Message::Register {
                 name: "w".into(),
@@ -1342,7 +1264,7 @@ mod tests {
 
     #[test]
     fn truncated_binary_frames_are_typed_errors() {
-        let frame = tiny_shard_done().to_frame_bytes(WireFormat::Bin);
+        let frame = tiny_shard_done().to_frame_bytes();
         // Cut everywhere interesting: after the magic, mid-length-prefix,
         // mid-payload, and right before the trailing newline.
         for cut in [1, 3, frame.len() - 10, frame.len() - 1] {
@@ -1377,7 +1299,7 @@ mod tests {
         }
 
         // A frame whose payload is not followed by a newline is malformed.
-        let good = tiny_shard_done().to_frame_bytes(WireFormat::Bin);
+        let good = tiny_shard_done().to_frame_bytes();
         let mut no_newline = good.clone();
         *no_newline.last_mut().unwrap() = b'X';
         let mut r = FrameReader::new(BufReader::new(&no_newline[..]));

@@ -88,7 +88,6 @@ pub mod sched;
 pub mod team;
 pub mod thread;
 
-pub use binwire::WireFormat;
 pub use campaign::{
     fnv64, merge, scaling_efficiency, Campaign, CampaignCell, CampaignPerf, CampaignResult,
     CampaignShard, CellKey, MergeError, ShardCheckpoint, ShardSpec,

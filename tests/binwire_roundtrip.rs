@@ -1,8 +1,8 @@
 //! The binary shard wire format against its JSON twin: every shard and
 //! result the campaign executor can produce must survive the binwire
 //! round trip **byte-identical to the JSON path** (decode, then
-//! re-serialize canonically — the same equality the dist parent and the
-//! dispatch bit-identity checks gate on), binary encoding must be
+//! re-serialize canonically — the same equality the dispatch
+//! bit-identity checks gate on), binary encoding must be
 //! deterministic, and truncated or corrupted binary documents must come
 //! back as typed [`WireError`]s — never a panic.
 

@@ -1,7 +1,7 @@
 //! The checkpoint/resume determinism guarantee, property-tested
 //! differentially: a shard interrupted at *any* cell boundary and
 //! resumed from the checkpoint observed there — after the checkpoint
-//! round-trips through either wire format — merges into a
+//! round-trips through either codec — merges into a
 //! `CampaignResult` byte-identical to the uninterrupted run. Plus the
 //! typed-rejection surface: a checkpoint from the wrong shard, the
 //! wrong matrix, or with a tampered cell must fail loudly with
@@ -13,7 +13,6 @@ use std::sync::OnceLock;
 use strex::campaign::{merge, Campaign, CampaignShard, ShardCheckpoint, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
 use strex::error::ConfigError;
-use strex::WireFormat;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 fn workloads() -> Vec<Workload> {
@@ -52,16 +51,20 @@ fn run_shards(count: usize) -> Vec<CampaignShard> {
         .collect()
 }
 
-/// Ships a checkpoint across a process boundary through the chosen
-/// encoding, exactly as the dispatcher's `checkpoint` frames do.
-fn round_trip(ckpt: &ShardCheckpoint, wire: WireFormat) -> ShardCheckpoint {
-    match wire {
-        WireFormat::Json => {
-            ShardCheckpoint::from_json(&ckpt.to_json()).expect("own JSON parses back")
-        }
-        WireFormat::Bin => {
-            ShardCheckpoint::from_bin(&ckpt.to_bin()).expect("own binwire parses back")
-        }
+/// The two codecs a checkpoint crosses the dispatcher in: JSON inside an
+/// `assign` frame (coordinator → worker, resuming a re-queued shard) and
+/// binwire inside a `checkpoint` frame (worker → coordinator).
+#[derive(Copy, Clone, Debug)]
+enum Codec {
+    Json,
+    Bin,
+}
+
+/// Ships a checkpoint across a process boundary through `codec`.
+fn round_trip(ckpt: &ShardCheckpoint, codec: Codec) -> ShardCheckpoint {
+    match codec {
+        Codec::Json => ShardCheckpoint::from_json(&ckpt.to_json()).expect("own JSON parses back"),
+        Codec::Bin => ShardCheckpoint::from_bin(&ckpt.to_bin()).expect("own binwire parses back"),
     }
 }
 
@@ -80,7 +83,7 @@ fn boundaries(spec: ShardSpec) -> Vec<ShardCheckpoint> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The tentpole property. For a drawn shard layout and wire format,
+    /// The tentpole property. For a drawn shard layout and codec,
     /// interrupt every shard at *every* cell boundary (including "before
     /// the first cell"), ship the checkpoint through the wire, resume,
     /// and require the merge of resumed + untouched peers to be
@@ -88,7 +91,7 @@ proptest! {
     #[test]
     fn resume_from_any_boundary_is_bit_identical_through_both_wires(
         count in 1usize..=3,
-        wire in prop_oneof![Just(WireFormat::Json), Just(WireFormat::Bin)],
+        codec in prop_oneof![Just(Codec::Json), Just(Codec::Bin)],
     ) {
         let w = workloads();
         let c = campaign(&w);
@@ -96,7 +99,7 @@ proptest! {
         for index in 0..count {
             let spec = ShardSpec { index, count };
             for ckpt in boundaries(spec) {
-                let shipped = round_trip(&ckpt, wire);
+                let shipped = round_trip(&ckpt, codec);
                 prop_assert_eq!(shipped.cursor(), ckpt.cursor());
                 prop_assert_eq!(shipped.cells().len(), ckpt.cells().len());
                 let resumed = c

@@ -19,7 +19,7 @@ use strex::dispatch::{
     submit_with_retry, ChaosProxy, DispatchConfig, FaultPlan, ServeOptions, Server, ShardRunner,
     SystemClock, WorkerOptions,
 };
-use strex::{ConfigError, WireFormat};
+use strex::ConfigError;
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -112,7 +112,6 @@ fn spawn_server(
         server
             .run(ServeOptions {
                 max_jobs: None,
-                wire: WireFormat::default(),
                 journal,
                 stop: Some(flag),
             })

@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use strex::binwire::WireFormat;
 use strex::campaign::{Campaign, CampaignResult, CampaignShard, ShardSpec};
 use strex::config::{SchedulerKind, SimConfig};
 use strex::dispatch::{
@@ -89,10 +88,7 @@ fn coordinator() -> Coordinator {
 fn able_caps() -> WorkerCaps {
     WorkerCaps {
         cores: 2,
-        pinning: false,
-        avx2: false,
         scenarios: true,
-        wires: vec![WireFormat::Json],
     }
 }
 

@@ -4,18 +4,17 @@
 //! well-formed frame must survive a parse → re-emit round trip
 //! byte-identically (what the coordinator's idempotency cache and the
 //! bit-identical-merge guarantee lean on). Both framings are covered:
-//! JSON lines and the length-prefixed binary frames that carry
-//! `ShardDone`/`Result` under `--wire bin`.
+//! JSON lines for control frames and the length-prefixed binary frames
+//! that always carry `shard_done`/`checkpoint`/`result`.
 
 use std::io::BufReader;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use strex::binwire::WireFormat;
-use strex::campaign::{CampaignShard, ShardSpec};
+use strex::campaign::{merge, CampaignPerf, CampaignShard, ShardCheckpoint, ShardSpec};
 use strex::dispatch::{read_message, JobSpec, Message, ProtoError, RejectReason, WorkerCaps};
-use strex::scenario::Scenario;
+use strex::scenario::{AssertionOutcome, Scenario};
 
 /// Short strings over the whole scalar range (surrogates excluded, plus
 /// weight on ASCII and JSON-escape-relevant characters), as message
@@ -73,24 +72,7 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
 }
 
 fn worker_caps() -> impl Strategy<Value = WorkerCaps> {
-    (
-        1usize..256,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        0usize..3,
-    )
-        .prop_map(|(cores, pinning, avx2, scenarios, wires_pick)| WorkerCaps {
-            cores,
-            pinning,
-            avx2,
-            scenarios,
-            wires: match wires_pick {
-                0 => vec![WireFormat::Json],
-                1 => vec![WireFormat::Bin],
-                _ => vec![WireFormat::Json, WireFormat::Bin],
-            },
-        })
+    (1usize..256, any::<bool>()).prop_map(|(cores, scenarios)| WorkerCaps { cores, scenarios })
 }
 
 fn control_messages() -> impl Strategy<Value = Message> {
@@ -119,17 +101,100 @@ fn control_messages() -> impl Strategy<Value = Message> {
     ]
 }
 
+/// Shard specs with `index < count`.
+fn shard_specs() -> impl Strategy<Value = ShardSpec> {
+    (1usize..64, 0usize..64).prop_map(|(count, index_seed)| ShardSpec {
+        index: index_seed % count,
+        count,
+    })
+}
+
+fn perfs() -> impl Strategy<Value = CampaignPerf> {
+    (1usize..16, 0u32..10_000, any::<u64>()).prop_map(|(workers, ms, total_events)| CampaignPerf {
+        workers,
+        wall_seconds: f64::from(ms) / 1000.0,
+        total_events,
+    })
+}
+
+fn outcomes() -> impl Strategy<Value = Vec<AssertionOutcome>> {
+    prop::collection::vec(
+        (
+            wire_text(),
+            any::<bool>(),
+            wire_text(),
+            wire_text(),
+            wire_text(),
+        )
+            .prop_map(
+                |(kind, passed, cell, expected, observed)| AssertionOutcome {
+                    kind,
+                    passed,
+                    cell,
+                    expected,
+                    observed,
+                },
+            ),
+        0..4,
+    )
+}
+
+/// The three bulk carriers, with empty cell lists (cell-level codec
+/// fidelity is `tests/binwire_roundtrip.rs`'s job; this is the frame
+/// layer).
+fn bulk_messages() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        (wire_text(), shard_specs(), perfs()).prop_map(|(job, spec, perf)| Message::ShardDone {
+            job,
+            shard: CampaignShard::from_parts(spec, Vec::new(), perf).expect("valid spec"),
+        }),
+        (wire_text(), shard_specs()).prop_map(|(job, spec)| Message::Checkpoint {
+            job,
+            checkpoint: ShardCheckpoint::new(spec),
+        }),
+        (wire_text(), perfs(), outcomes()).prop_map(|(job, perf, outcomes)| {
+            let whole = ShardSpec { index: 0, count: 1 };
+            let shard = CampaignShard::from_parts(whole, Vec::new(), perf).expect("valid spec");
+            Message::Result {
+                job,
+                result: merge([shard]).expect("one complete shard merges"),
+                outcomes,
+            }
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// The one encoding rule, over every message type: bulk carriers
+    /// are binary frames, everything else is one JSON line, and every
+    /// frame parses back to a message that re-emits the same bytes.
     #[test]
-    fn every_control_frame_round_trips_byte_identically(msg in control_messages()) {
-        let frame = msg.to_frame();
-        prop_assert!(frame.ends_with('\n'));
-        prop_assert!(!frame[..frame.len() - 1].contains('\n'), "one line per frame");
-        let parsed = Message::parse_frame(&frame)
-            .map_err(|e| TestCaseError::fail(format!("{e} for {frame:?}")))?;
-        prop_assert_eq!(parsed.to_frame(), frame);
+    fn every_control_frame_round_trips_byte_identically(
+        msg in prop_oneof![control_messages(), bulk_messages()],
+    ) {
+        let frame = msg.to_frame_bytes();
+        let bulk = matches!(msg.type_name(), "shard_done" | "checkpoint" | "result");
+        prop_assert_eq!(
+            frame[0] == strex::binwire::MAGIC,
+            bulk,
+            "{} frame opens with {:#04x}",
+            msg.type_name(),
+            frame[0]
+        );
+        if !bulk {
+            let line = msg.to_frame();
+            prop_assert_eq!(&frame, line.as_bytes(), "control frames are the JSON line");
+            prop_assert!(line.ends_with('\n'));
+            prop_assert!(!line[..line.len() - 1].contains('\n'), "one line per frame");
+        }
+        let mut reader = BufReader::new(frame.as_slice());
+        let parsed = read_message(&mut reader)
+            .map_err(|e| TestCaseError::fail(format!("{e} for {frame:?}")))?
+            .expect("one frame in");
+        prop_assert_eq!(parsed.to_frame_bytes(), frame);
+        prop_assert!(read_message(&mut reader).expect("clean EOF").is_none());
     }
 
     #[test]
@@ -248,7 +313,7 @@ fn tiny_shard_done() -> Message {
     let shard = CampaignShard::from_parts(
         ShardSpec::new(1, 3).expect("valid"),
         Vec::new(),
-        strex::campaign::CampaignPerf {
+        CampaignPerf {
             workers: 2,
             wall_seconds: 0.25,
             total_events: 7,
@@ -268,7 +333,7 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
     // can produce) must parse exactly once, then EOF cleanly, with the
     // buffer reused across both calls.
     let msg = tiny_shard_done();
-    let frame = msg.to_frame_bytes(WireFormat::Bin);
+    let frame = msg.to_frame_bytes();
     assert!(strex::binwire::is_binary(frame[0]));
     struct TrickleReader<'a> {
         bytes: &'a [u8],
@@ -286,7 +351,7 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
     let parsed = strex::dispatch::read_message_buffered(&mut reader, &mut buf)
         .expect("parses")
         .expect("one frame in");
-    assert_eq!(parsed.to_frame_bytes(WireFormat::Bin), frame);
+    assert_eq!(parsed.to_frame_bytes(), frame);
     assert_eq!(parsed.to_frame(), msg.to_frame(), "JSON twin agrees");
     assert!(
         strex::dispatch::read_message_buffered(&mut reader, &mut buf)
@@ -295,13 +360,13 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
     );
 }
 
-/// Protocol v2.1 `checkpoint` frames and the `Assign` resume field, both
-/// framings: a parse → re-emit round trip must be byte-identical (cells
+/// Protocol v2.1 `checkpoint` frames and the `Assign` resume field, in
+/// the JSON form readers still accept and in the frame the encoding rule
+/// emits: a parse → re-emit round trip must be byte-identical (cells
 /// and cursor fidelity is covered by `tests/checkpoint_resume.rs`; this
 /// is the frame layer).
 mod checkpoint_frames {
     use super::*;
-    use strex::campaign::ShardCheckpoint;
 
     fn checkpoint_msg() -> Message {
         Message::Checkpoint {
@@ -326,13 +391,13 @@ mod checkpoint_frames {
             let parsed = Message::parse_frame(&json).expect("own JSON parses");
             assert_eq!(parsed.to_frame(), json);
 
-            let bin = msg.to_frame_bytes(WireFormat::Bin);
+            let bin = msg.to_frame_bytes();
             let mut buf = Vec::new();
             let mut reader = BufReader::new(bin.as_slice());
             let parsed = strex::dispatch::read_message_buffered(&mut reader, &mut buf)
                 .expect("own binwire parses")
                 .expect("one frame");
-            assert_eq!(parsed.to_frame_bytes(WireFormat::Bin), bin);
+            assert_eq!(parsed.to_frame_bytes(), bin);
             assert_eq!(parsed.to_frame(), json, "JSON twin agrees");
         }
     }
