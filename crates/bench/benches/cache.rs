@@ -1,5 +1,6 @@
 //! Microbenchmarks of the cache substrate: access paths per replacement
-//! policy, victim peeking (STREX's hot path), coherence, and signatures.
+//! policy, the replacement kernels alone, victim peeking (STREX's hot
+//! path), coherence, and signatures.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use strex_sim::addr::{Addr, BlockAddr};
@@ -7,7 +8,7 @@ use strex_sim::cache::{CacheGeometry, SetAssocCache};
 use strex_sim::coherence::Directory;
 use strex_sim::hierarchy::MemorySystem;
 use strex_sim::ids::CoreId;
-use strex_sim::replacement::ReplacementKind;
+use strex_sim::replacement::{Replacement, ReplacementKind};
 use strex_sim::signature::CacheSignature;
 use strex_sim::SystemConfig;
 
@@ -23,6 +24,40 @@ fn bench_cache_access(c: &mut Criterion) {
                 black_box(cache.access(BlockAddr::new(i), (i % 256) as u8))
             });
         });
+    }
+    group.finish();
+}
+
+/// The replacement layer on its own, at the two set shapes of Table 2: the
+/// 8-way L1 (64 sets) and the 16-way L2 (1024 sets). Full TPC-C misses
+/// the L1-I on ~90 % of fetches, so the mix is seven installs (evict, then
+/// fill, as `SetAssocCache` drives them) to one hit per eight operations.
+fn bench_replacement(c: &mut Criterion) {
+    let mut group = c.benchmark_group("replacement");
+    for (shape, sets, assoc) in [("l1_8way", 64usize, 8usize), ("l2_16way", 1024, 16)] {
+        for kind in ReplacementKind::ALL {
+            let id = BenchmarkId::new(shape, kind);
+            group.bench_with_input(id, &kind, |b, &kind| {
+                let mut repl = Replacement::new(kind, sets, assoc);
+                let mut i = 0u64;
+                b.iter(|| {
+                    i = i
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let set = (i >> 33) as usize & (sets - 1);
+                    let way = if (i >> 20) & 7 == 0 {
+                        let way = (i >> 40) as usize & (assoc - 1);
+                        repl.on_hit(set, way);
+                        way
+                    } else {
+                        let way = repl.evict(set);
+                        repl.on_fill(set, way);
+                        way
+                    };
+                    black_box(way)
+                });
+            });
+        }
     }
     group.finish();
 }
@@ -95,6 +130,7 @@ fn bench_hierarchy(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache_access,
+    bench_replacement,
     bench_peek_victim,
     bench_coherence,
     bench_signature,

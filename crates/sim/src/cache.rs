@@ -474,8 +474,15 @@ impl SetAssocCache {
     /// evictions and replacement state are **bit-identical** to a
     /// full-size cache fed the same stream — only the metadata footprint
     /// shrinks (by the slice count), which is what keeps the slice probe
-    /// in cache on the simulation hot path. This mirrors NUCA hardware,
-    /// which excludes the slice-select bits from the set index.
+    /// in cache on the simulation hot path.
+    ///
+    /// The slice therefore holds `geom.size_bytes() / 2^slice_bits`, not
+    /// `geom.size_bytes()`: it reproduces a set index that *includes* the
+    /// slice-select bits, so only one in `2^slice_bits` of `geom`'s sets
+    /// is reachable. NUCA hardware excludes those bits and gives each
+    /// slice its full geometry; the shared L2 built on this constructor
+    /// models 1 MB in total rather than 1 MB per core (see
+    /// [`crate::l2`]).
     ///
     /// # Panics
     ///
@@ -681,17 +688,6 @@ impl SetAssocCache {
         )
     }
 
-    #[inline]
-    fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
-        let set = self.set_of(block);
-        let base = self.set_base(set);
-        let needle = pack(block);
-        self.tags[base..base + self.assoc]
-            .iter()
-            .position(|&tag| tag == needle)
-            .map(|way| (set, way))
-    }
-
     /// Installs `needle` into `set`, preferring the scanned invalid way and
     /// evicting otherwise. Returns the way used and any victim.
     #[inline]
@@ -763,19 +759,21 @@ impl SetAssocCache {
 
     /// Returns `true` if `block` is resident, without touching policy state.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.find(block).is_some()
+        self.scan(self.set_of(block), pack(block)).0.is_some()
     }
 
     /// Returns the aux tag of a resident block.
     pub fn aux(&self, block: BlockAddr) -> Option<u8> {
-        self.find(block)
-            .map(|(set, way)| self.meta[self.set_base(set) + way] as u8)
+        let set = self.set_of(block);
+        let (hit, _) = self.scan(set, pack(block));
+        hit.map(|way| self.meta[self.set_base(set) + way] as u8)
     }
 
     /// Overwrites the aux tag of a resident block; returns `false` if the
     /// block is not resident.
     pub fn set_aux(&mut self, block: BlockAddr, aux: u8) -> bool {
-        if let Some((set, way)) = self.find(block) {
+        let set = self.set_of(block);
+        if let (Some(way), _) = self.scan(set, pack(block)) {
             let idx = self.set_base(set) + way;
             self.meta[idx] = (self.meta[idx] & META_DIRTY) | aux as u16;
             true
@@ -1027,7 +1025,8 @@ impl SetAssocCache {
 
     /// Invalidates `block` if resident (coherence), returning its frame info.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Victim> {
-        if let Some((set, way)) = self.find(block) {
+        let set = self.set_of(block);
+        if let (Some(way), _) = self.scan(set, pack(block)) {
             let idx = self.set_base(set) + way;
             let meta = self.meta[idx];
             let victim = Victim {
@@ -1047,7 +1046,8 @@ impl SetAssocCache {
     /// Clears the dirty bit of a resident block (coherence downgrade),
     /// returning whether it was dirty.
     pub fn clean(&mut self, block: BlockAddr) -> bool {
-        if let Some((set, way)) = self.find(block) {
+        let set = self.set_of(block);
+        if let (Some(way), _) = self.scan(set, pack(block)) {
             let idx = self.set_base(set) + way;
             let was = self.meta[idx] & META_DIRTY != 0;
             self.meta[idx] &= !META_DIRTY;

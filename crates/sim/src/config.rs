@@ -9,7 +9,8 @@ use crate::replacement::ReplacementKind;
 ///
 /// Defaults reproduce Table 2: N out-of-order cores at 2.5 GHz with private
 /// 32 KB / 8-way / 64 B L1 caches (3-cycle load-to-use), a shared NUCA L2 of
-/// 1 MB per core (16-way, 16-cycle hit), a 2-D torus with 1-cycle hops, and
+/// 1 MB per core (16-way, 16-cycle hit; the modelled capacity falls short
+/// of this, see [`crate::l2`]), a 2-D torus with 1-cycle hops, and
 /// DDR3-1600 memory. The OoO width/ROB parameters are abstracted into the
 /// 1-IPC in-order timing model (see DESIGN.md §2); the miss-latency
 /// parameters, which drive every result in the paper, are modeled directly.
@@ -40,6 +41,9 @@ pub struct SystemConfig {
     /// base cycle (Table 2: 3-cycle load-to-use).
     pub l1_hit_extra: u64,
     /// Shared L2 capacity per core in bytes (Table 2: 1 MB per core).
+    ///
+    /// At power-of-two core counts the modelled L2 holds this many bytes
+    /// in total, not per core (see the modelling gap in [`crate::l2`]).
     pub l2_bytes_per_core: u64,
     /// L2 associativity.
     pub l2_assoc: usize,

@@ -9,8 +9,10 @@
 //!   64-byte blocks and pluggable replacement policies
 //!   ([`replacement::ReplacementKind`]: LRU, LIP, BIP, SRRIP, BRRIP);
 //! * MESI coherence across the L1-Ds ([`coherence::Directory`]);
-//! * a shared NUCA L2 (1 MB per core, 16-way, 16-cycle hit) whose slices are
-//!   interleaved across a 2-D torus ([`l2::SharedL2`], [`interconnect::Torus`]);
+//! * a shared NUCA L2 (16-way, 16-cycle hit) whose slices are interleaved
+//!   across a 2-D torus ([`l2::SharedL2`], [`interconnect::Torus`]). Table 2
+//!   specifies 1 MB per core; at power-of-two core counts the model holds
+//!   1 MB in total (a known gap, documented in [`l2`]);
 //! * a DDR3-style DRAM latency model ([`memory::Dram`]);
 //! * instruction prefetchers ([`prefetch::PrefetcherKind`]): a next-line
 //!   prefetcher and the paper's idealized-PIF upper bound;

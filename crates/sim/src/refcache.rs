@@ -19,10 +19,195 @@
 //! `access_write`, a residency scan plus an invalid-way scan in
 //! `peek_victim`) — exactly the costs the SoA rewrite removed. Do not use
 //! it in the simulator proper.
+//!
+//! Its replacement state is [`RefReplacement`], a frozen copy of the
+//! per-way loops that [`crate::replacement::Replacement`]'s fixed-width
+//! kernels replaced, so the differential tests also check the production
+//! replacement kernels against an independent implementation.
 
 use crate::addr::BlockAddr;
 use crate::cache::{CacheGeometry, Victim};
-use crate::replacement::{Replacement, ReplacementKind};
+use crate::replacement::ReplacementKind;
+
+/// RRPV width used by SRRIP/BRRIP (2 bits, values 0..=3).
+const RRPV_MAX: u8 = 3;
+/// "Long re-reference" insertion value for SRRIP.
+const RRPV_LONG: u8 = RRPV_MAX - 1;
+/// Bimodal throttle period for BIP/BRRIP (1-in-32 insertions are favored).
+const BIMODAL_PERIOD: u32 = 32;
+
+/// Reference replacement state: the original slice-loop implementation of
+/// the five policies, with the same API as
+/// [`Replacement`](crate::replacement::Replacement). Frozen as a test
+/// oracle; do not optimize it.
+#[derive(Clone, Debug)]
+pub struct RefReplacement {
+    kind: ReplacementKind,
+    assoc: usize,
+    /// One metadata byte per way per set: LRU stack depth, or RRPV.
+    meta: Vec<u8>,
+    /// Bimodal throttle counter shared by all sets (BIP/BRRIP only).
+    bimodal_ctr: u32,
+}
+
+impl RefReplacement {
+    /// Creates replacement state for `sets` sets of `assoc` ways each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assoc` is 0 or greater than 255.
+    pub fn new(kind: ReplacementKind, sets: usize, assoc: usize) -> Self {
+        assert!(assoc > 0 && assoc <= 255, "associativity out of range");
+        let meta = match kind {
+            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
+                (0..sets * assoc).map(|i| (i % assoc) as u8).collect()
+            }
+            ReplacementKind::Srrip | ReplacementKind::Brrip => vec![RRPV_MAX; sets * assoc],
+        };
+        RefReplacement {
+            kind,
+            assoc,
+            meta,
+            bimodal_ctr: 0,
+        }
+    }
+
+    #[inline]
+    fn set_meta(&mut self, set: usize) -> &mut [u8] {
+        let base = set * self.assoc;
+        &mut self.meta[base..base + self.assoc]
+    }
+
+    #[inline]
+    fn set_meta_ref(&self, set: usize) -> &[u8] {
+        let base = set * self.assoc;
+        &self.meta[base..base + self.assoc]
+    }
+
+    /// Records a hit on `way` of `set`.
+    #[inline]
+    pub fn on_hit(&mut self, set: usize, way: usize) {
+        match self.kind {
+            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
+                self.promote_to_mru(set, way);
+            }
+            ReplacementKind::Srrip | ReplacementKind::Brrip => {
+                self.set_meta(set)[way] = 0;
+            }
+        }
+    }
+
+    /// Records that a new block was installed in `way` of `set`.
+    #[inline]
+    pub fn on_fill(&mut self, set: usize, way: usize) {
+        match self.kind {
+            ReplacementKind::Lru => self.promote_to_mru(set, way),
+            ReplacementKind::Lip => self.demote_to_lru(set, way),
+            ReplacementKind::Bip => {
+                self.bimodal_ctr = (self.bimodal_ctr + 1) % BIMODAL_PERIOD;
+                if self.bimodal_ctr == 0 {
+                    self.promote_to_mru(set, way);
+                } else {
+                    self.demote_to_lru(set, way);
+                }
+            }
+            ReplacementKind::Srrip => self.set_meta(set)[way] = RRPV_LONG,
+            ReplacementKind::Brrip => {
+                self.bimodal_ctr = (self.bimodal_ctr + 1) % BIMODAL_PERIOD;
+                let rrpv = if self.bimodal_ctr == 0 {
+                    RRPV_LONG
+                } else {
+                    RRPV_MAX
+                };
+                self.set_meta(set)[way] = rrpv;
+            }
+        }
+    }
+
+    /// Returns the way that would be evicted from `set`, without mutating
+    /// any policy state: the way with the largest metadata byte (deepest
+    /// stack position, or largest RRPV), lowest index on ties.
+    #[inline]
+    pub fn victim_way(&self, set: usize) -> usize {
+        Self::argmax(self.set_meta_ref(set))
+    }
+
+    /// Chooses and returns the victim way of `set`, applying RRIP aging.
+    #[inline]
+    pub fn evict(&mut self, set: usize) -> usize {
+        let way = self.victim_way(set);
+        if matches!(self.kind, ReplacementKind::Srrip | ReplacementKind::Brrip) {
+            let meta = self.set_meta(set);
+            let delta = RRPV_MAX - meta[way];
+            if delta > 0 {
+                for m in meta.iter_mut() {
+                    *m = (*m + delta).min(RRPV_MAX);
+                }
+            }
+        }
+        way
+    }
+
+    /// Clears the metadata of `way` in `set` after an invalidation so the
+    /// way is preferred for the next fill.
+    pub fn on_invalidate(&mut self, set: usize, way: usize) {
+        let init = match self.kind {
+            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
+                (self.assoc - 1) as u8
+            }
+            ReplacementKind::Srrip | ReplacementKind::Brrip => RRPV_MAX,
+        };
+        if matches!(
+            self.kind,
+            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip
+        ) {
+            self.demote_to_lru(set, way);
+        }
+        self.set_meta(set)[way] = init;
+    }
+
+    #[inline]
+    fn argmax(meta: &[u8]) -> usize {
+        let mut best = 0;
+        for (i, &m) in meta.iter().enumerate() {
+            if m > meta[best] {
+                best = i;
+            }
+        }
+        best
+    }
+
+    #[inline]
+    fn promote_to_mru(&mut self, set: usize, way: usize) {
+        let meta = self.set_meta(set);
+        let old = meta[way];
+        if old == 0 {
+            return;
+        }
+        for m in meta.iter_mut() {
+            if *m < old {
+                *m += 1;
+            }
+        }
+        meta[way] = 0;
+    }
+
+    #[inline]
+    fn demote_to_lru(&mut self, set: usize, way: usize) {
+        let assoc = self.assoc as u8;
+        let meta = self.set_meta(set);
+        let old = meta[way];
+        if old == assoc - 1 {
+            return;
+        }
+        for m in meta.iter_mut() {
+            if *m > old {
+                *m -= 1;
+            }
+        }
+        meta[way] = assoc - 1;
+    }
+}
 
 #[derive(Copy, Clone, Debug, Default)]
 struct Frame {
@@ -64,7 +249,7 @@ impl RefAccessOutcome {
 pub struct RefSetAssocCache {
     geom: CacheGeometry,
     frames: Vec<Frame>,
-    repl: Replacement,
+    repl: RefReplacement,
 }
 
 impl RefSetAssocCache {
@@ -73,7 +258,7 @@ impl RefSetAssocCache {
         RefSetAssocCache {
             geom,
             frames: vec![Frame::default(); geom.blocks()],
-            repl: Replacement::new(repl, geom.sets(), geom.assoc()),
+            repl: RefReplacement::new(repl, geom.sets(), geom.assoc()),
         }
     }
 

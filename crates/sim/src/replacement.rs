@@ -22,6 +22,16 @@
 //! All decision logic is deterministic so that a *peek* at the next victim
 //! (needed by STREX's victim monitor) always agrees with the subsequent
 //! eviction.
+//!
+//! Nearly every simulated event runs an L1 install and an L2-slice update,
+//! so the per-set kernels (promotion, demotion, victim selection, RRIP
+//! aging) are branch-free passes over the set's bytes, compiled for a
+//! fixed width at the associativities the paper's geometries use. The
+//! LRU-family victim needs no max scan: the stack is a permutation of
+//! `0..assoc` in every set, so the victim is the one way at depth
+//! `assoc - 1`. [`crate::refcache::RefReplacement`] keeps the original
+//! per-way loops as the differential oracle these kernels are tested
+//! against.
 
 use std::fmt;
 
@@ -202,13 +212,10 @@ impl Replacement {
         let meta = self.set_meta_ref(set);
         match self.kind {
             ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
-                // Deepest stack position = LRU.
-                Self::argmax(meta)
+                fixed(meta, lru_way)
             }
             ReplacementKind::Srrip | ReplacementKind::Brrip => {
-                // RRIP aging selects the first way to reach RRPV_MAX, which
-                // is the way with the largest RRPV (lowest index on ties).
-                Self::argmax(meta)
+                fixed(meta, |m| first_eq(m, max_rrpv(m)))
             }
         }
     }
@@ -217,49 +224,37 @@ impl Replacement {
     /// mutation that eviction implies (RRIP aging).
     #[inline]
     pub fn evict(&mut self, set: usize) -> usize {
-        let way = self.victim_way(set);
-        if matches!(self.kind, ReplacementKind::Srrip | ReplacementKind::Brrip) {
-            // Age every other way by the amount needed for `way` to reach
-            // RRPV_MAX, mirroring the iterative increment loop in hardware.
-            let meta = self.set_meta(set);
-            let delta = RRPV_MAX - meta[way];
-            if delta > 0 {
-                for m in meta.iter_mut() {
-                    *m = (*m + delta).min(RRPV_MAX);
-                }
+        let kind = self.kind;
+        let meta = self.set_meta(set);
+        match kind {
+            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
+                fixed(meta, lru_way)
             }
+            // Age every way by the amount needed for the victim to reach
+            // RRPV_MAX, mirroring the iterative increment loop in hardware
+            // (a zero delta leaves the set unchanged).
+            ReplacementKind::Srrip | ReplacementKind::Brrip => fixed_mut(meta, |m| {
+                let oldest = max_rrpv(m);
+                let way = first_eq(m, oldest);
+                let delta = RRPV_MAX - oldest;
+                for r in m.iter_mut() {
+                    *r = (*r + delta).min(RRPV_MAX);
+                }
+                way
+            }),
         }
-        way
     }
 
     /// Clears the metadata of `way` in `set` after an invalidation so the
     /// way is preferred for the next fill.
     pub fn on_invalidate(&mut self, set: usize, way: usize) {
-        let init = match self.kind {
+        match self.kind {
+            // A demotion to LRU keeps the stack a permutation.
             ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip => {
-                (self.assoc - 1) as u8
+                self.demote_to_lru(set, way);
             }
-            ReplacementKind::Srrip | ReplacementKind::Brrip => RRPV_MAX,
-        };
-        // Keep the LRU stack consistent: treat as a demotion to LRU first.
-        if matches!(
-            self.kind,
-            ReplacementKind::Lru | ReplacementKind::Lip | ReplacementKind::Bip
-        ) {
-            self.demote_to_lru(set, way);
+            ReplacementKind::Srrip | ReplacementKind::Brrip => self.set_meta(set)[way] = RRPV_MAX,
         }
-        self.set_meta(set)[way] = init;
-    }
-
-    #[inline]
-    fn argmax(meta: &[u8]) -> usize {
-        let mut best = 0;
-        for (i, &m) in meta.iter().enumerate() {
-            if m > meta[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Moves `way` to stack depth 0 and pushes shallower entries down.
@@ -267,33 +262,86 @@ impl Replacement {
     fn promote_to_mru(&mut self, set: usize, way: usize) {
         let meta = self.set_meta(set);
         let old = meta[way];
-        if old == 0 {
-            return; // already MRU: the pass below would change nothing
-        }
-        for m in meta.iter_mut() {
-            if *m < old {
-                *m += 1;
+        fixed_mut(meta, |m| {
+            for d in m.iter_mut() {
+                *d += (*d < old) as u8;
             }
-        }
-        meta[way] = 0;
+            m[way] = 0;
+        });
     }
 
     /// Moves `way` to the deepest stack position, pulling deeper entries up.
     #[inline]
     fn demote_to_lru(&mut self, set: usize, way: usize) {
-        let assoc = self.assoc as u8;
         let meta = self.set_meta(set);
         let old = meta[way];
-        if old == assoc - 1 {
-            return; // already LRU: the pass below would change nothing
-        }
-        for m in meta.iter_mut() {
-            if *m > old {
-                *m -= 1;
+        fixed_mut(meta, |m| {
+            for d in m.iter_mut() {
+                *d -= (*d > old) as u8;
             }
-        }
-        meta[way] = assoc - 1;
+            m[way] = (m.len() - 1) as u8;
+        });
     }
+}
+
+/// Runs `kernel` on one set's metadata, re-borrowed as a fixed-size
+/// `[u8; N]` for the associativities the cache's tag scan dispatches
+/// (Table 2: 8-way L1s, 16-way L2; 4-way in tests). With the length a
+/// compile-time constant each kernel body compiles to straight-line
+/// vector code; other associativities run the same body on the slice.
+#[inline(always)]
+fn fixed<R>(meta: &[u8], kernel: impl FnOnce(&[u8]) -> R) -> R {
+    match meta.len() {
+        4 => kernel(<&[u8; 4]>::try_from(meta).unwrap()),
+        8 => kernel(<&[u8; 8]>::try_from(meta).unwrap()),
+        16 => kernel(<&[u8; 16]>::try_from(meta).unwrap()),
+        _ => kernel(meta),
+    }
+}
+
+/// The mutable twin of [`fixed`].
+#[inline(always)]
+fn fixed_mut<R>(meta: &mut [u8], kernel: impl FnOnce(&mut [u8]) -> R) -> R {
+    match meta.len() {
+        4 => kernel(<&mut [u8; 4]>::try_from(meta).unwrap()),
+        8 => kernel(<&mut [u8; 8]>::try_from(meta).unwrap()),
+        16 => kernel(<&mut [u8; 16]>::try_from(meta).unwrap()),
+        _ => kernel(meta),
+    }
+}
+
+/// The LRU-family victim. The stack is a permutation of `0..assoc` in every
+/// set, so the LRU way is the unique way at the deepest depth.
+#[inline(always)]
+fn lru_way(meta: &[u8]) -> usize {
+    first_eq(meta, (meta.len() - 1) as u8)
+}
+
+/// The largest RRPV in a set. RRIP aging makes the first way holding it
+/// the first to reach RRPV_MAX, i.e. the victim.
+#[inline(always)]
+fn max_rrpv(meta: &[u8]) -> u8 {
+    meta.iter().fold(0, |oldest, &r| oldest.max(r))
+}
+
+/// The first way whose metadata byte equals `target`, which the callers
+/// guarantee is present. Per 16 ways, a compare mask with one byte per way
+/// (bit `8 * w` set iff way `w` matches) read as a `u128`, so its
+/// `trailing_zeros` names the first match: a set of up to 16 ways is one
+/// vector compare and one bit scan.
+#[inline(always)]
+fn first_eq(meta: &[u8], target: u8) -> usize {
+    for (chunk_no, chunk) in meta.chunks(16).enumerate() {
+        let mut eq = [0u8; 16];
+        for (e, &m) in eq.iter_mut().zip(chunk) {
+            *e = (m == target) as u8;
+        }
+        let mask = u128::from_le_bytes(eq);
+        if mask != 0 {
+            return chunk_no * 16 + mask.trailing_zeros() as usize / 8;
+        }
+    }
+    unreachable!("no way holds metadata {target}")
 }
 
 #[cfg(test)]

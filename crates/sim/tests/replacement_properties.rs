@@ -1,11 +1,12 @@
 //! Property-based tests of the replacement policies and cache invariants,
-//! including differential tests of the SoA single-probe cache against the
-//! reference (pre-optimization) implementation.
+//! including differential tests of the fixed-width replacement kernels and
+//! the SoA single-probe cache against their reference (pre-optimization)
+//! implementations.
 
 use proptest::prelude::*;
 use strex_sim::addr::BlockAddr;
 use strex_sim::cache::{CacheGeometry, SetAssocCache};
-use strex_sim::refcache::RefSetAssocCache;
+use strex_sim::refcache::{RefReplacement, RefSetAssocCache};
 use strex_sim::replacement::{Replacement, ReplacementKind};
 
 fn any_kind() -> impl Strategy<Value = ReplacementKind> {
@@ -36,7 +37,70 @@ fn any_op(assoc: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+/// An associativity from the paper's geometries (8-way L1s, 16-way L2) or
+/// one that takes the kernels' slice path.
+fn any_assoc() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(2),
+        Just(3),
+        Just(4),
+        Just(8),
+        Just(12),
+        Just(16)
+    ]
+}
+
 proptest! {
+    /// Differential bit-identity of the replacement kernels: the
+    /// production fixed-width kernels and the frozen per-way loops of
+    /// [`RefReplacement`] pick the same victim after every operation and
+    /// evict the same way, for every policy and associativity.
+    #[test]
+    fn kernels_match_reference_replacement(
+        kind in any_kind(),
+        assoc in any_assoc(),
+        // (set, operation, way): 48 is a multiple of every drawn
+        // associativity, so `way % assoc` is uniform.
+        raw_ops in prop::collection::vec((0usize..2, 0u8..4, 0usize..48), 1..300),
+    ) {
+        let mut fast = Replacement::new(kind, 2, assoc);
+        let mut reference = RefReplacement::new(kind, 2, assoc);
+        for (set, code, way) in raw_ops {
+            let way = way % assoc;
+            let op = match code {
+                0 => Op::Hit(way),
+                1 => Op::Fill(way),
+                2 => Op::Evict,
+                _ => Op::Invalidate(way),
+            };
+            match op {
+                Op::Hit(w) => {
+                    fast.on_hit(set, w);
+                    reference.on_hit(set, w);
+                }
+                Op::Fill(w) => {
+                    fast.on_fill(set, w);
+                    reference.on_fill(set, w);
+                }
+                Op::Evict => {
+                    prop_assert_eq!(fast.evict(set), reference.evict(set), "evict diverged");
+                }
+                Op::Invalidate(w) => {
+                    fast.on_invalidate(set, w);
+                    reference.on_invalidate(set, w);
+                }
+            }
+            for s in 0..2 {
+                prop_assert_eq!(
+                    fast.victim_way(s),
+                    reference.victim_way(s),
+                    "victim diverged in set {} after {:?}", s, op
+                );
+            }
+        }
+    }
+
     /// The victim way is always a legal way, and peeking never changes the
     /// answer (calling victim_way twice gives the same way).
     #[test]
