@@ -49,14 +49,15 @@
 //! `strex::dispatch` TCP campaign dispatcher; wire format in
 //! `docs/PROTOCOL.md`, operations in `docs/DISPATCHER.md`). `serve`
 //! binds a coordinator that accepts campaign and scenario submissions
-//! and hands shards to capability-matched workers, tracking their
-//! liveness by heartbeat and re-queueing shards from dead or straggling
-//! workers (`--jobs N` exits cleanly after N jobs — the CI smoke's run
-//! bound; `--journal` makes the job ledger survive a restart;
+//! and hands shards to workers, tracking their liveness by heartbeat and
+//! re-queueing shards from dead or straggling workers (`--jobs N` exits
+//! cleanly after N jobs — the CI smoke's run bound; `--timeout-ms` must
+//! exceed two worker heartbeats; `--journal` makes the job ledger
+//! survive a restart;
 //! `--burst`/`--refill-ms` tune per-submitter token-bucket rate
 //! limiting, `--max-pending` bounds the job queue). `work` connects a
-//! worker that registers its detected capabilities and executes shards
-//! until the coordinator closes the connection. `submit` submits the
+//! worker that registers its core count and executes shards until the
+//! coordinator closes the connection. `submit` submits the
 //! quick matrix — or, with `--scenario PATH`, that scenario document —
 //! split `--shards` ways and prints the merged campaign's summary plus
 //! any coordinator-evaluated assertion diagnostics; `--verify`
@@ -450,10 +451,14 @@ fn check_mode(rest: &[String]) -> ExitCode {
 /// The coordinator half of the dispatcher: binds `--listen ADDR`, accepts
 /// campaign submissions and worker registrations, and serves until
 /// `--jobs N` jobs complete (forever without it). Workers silent for
-/// `--timeout-ms` (default 10s) are dropped and their shards re-queued.
+/// `--timeout-ms` (default 10s) are dropped and their shards re-queued;
+/// the timeout must exceed two worker heartbeat intervals, or healthy
+/// workers would be reaped between beats.
 fn serve_mode(rest: &[String]) -> ExitCode {
     use std::sync::Arc;
-    use strex::dispatch::{DispatchConfig, ServeOptions, Server, SystemClock};
+    use strex::dispatch::{
+        DispatchConfig, ServeOptions, Server, SystemClock, HEARTBEAT_INTERVAL_MS,
+    };
 
     let mut listen: Option<String> = None;
     let mut jobs: Option<usize> = None;
@@ -477,14 +482,13 @@ fn serve_mode(rest: &[String]) -> ExitCode {
                 }
             },
             "--timeout-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms >= 1 => {
-                    cfg.worker_timeout_ms = ms;
-                    // Keep the advertised cadence consistent with the
-                    // timeout (workers beat 4x faster than they may die).
-                    cfg.heartbeat_interval_ms = (ms / 4).max(1);
-                }
+                Some(ms) if ms > 2 * HEARTBEAT_INTERVAL_MS => cfg.worker_timeout_ms = ms,
                 _ => {
-                    eprintln!("--timeout-ms needs a positive millisecond count");
+                    eprintln!(
+                        "--timeout-ms needs a millisecond count above {} \
+                         (twice the {HEARTBEAT_INTERVAL_MS} ms worker heartbeat)",
+                        2 * HEARTBEAT_INTERVAL_MS
+                    );
                     return ExitCode::FAILURE;
                 }
             },

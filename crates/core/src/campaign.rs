@@ -45,8 +45,8 @@
 //! * [`Campaign::run_shard`] executes one shard's cells (workload-major,
 //!   one reused scratch) into a [`CampaignShard`], which serializes to
 //!   JSON or binwire and parses back ([`CampaignShard::from_json`],
-//!   [`CampaignShard::from_bin`]) with full fidelity — what a dispatcher
-//!   worker ships in its `shard_done` frame.
+//!   [`CampaignShard::from_bin`]) with full fidelity — a dispatcher
+//!   worker ships the binwire form in its `shard_done` frame.
 //! * [`merge`] reassembles a complete shard set into a [`CampaignResult`]
 //!   bit-identical to the single-process run, for any shard count and
 //!   any merge order.
@@ -745,13 +745,7 @@ impl CampaignResult {
     /// advances. Two *adjacent same-named* workloads merge under one
     /// index, which cannot change the serialized bytes.
     pub fn from_json(text: &str) -> Result<CampaignResult, WireError> {
-        Self::from_json_value(&JsonValue::parse(text)?)
-    }
-
-    /// [`from_json`](CampaignResult::from_json) over an already-parsed
-    /// document — the entry point the dispatch protocol uses, where the
-    /// result arrives embedded in a larger frame.
-    pub fn from_json_value(doc: &JsonValue) -> Result<CampaignResult, WireError> {
+        let doc = JsonValue::parse(text)?;
         let mut cells: Vec<CampaignCell> = Vec::new();
         let mut workload_idx = 0usize;
         for v in doc.req_array("cells")? {
@@ -996,13 +990,7 @@ impl CampaignShard {
 
     /// Parses a shard from its [`to_json`](CampaignShard::to_json) form.
     pub fn from_json(text: &str) -> Result<CampaignShard, WireError> {
-        Self::from_json_value(&JsonValue::parse(text)?)
-    }
-
-    /// [`from_json`](CampaignShard::from_json) over an already-parsed
-    /// document — the entry point the dispatch protocol uses, where the
-    /// shard arrives embedded in a `shard_done` frame.
-    pub fn from_json_value(doc: &JsonValue) -> Result<CampaignShard, WireError> {
+        let doc = JsonValue::parse(text)?;
         let spec = ShardSpec {
             index: doc.req_u64("shard.index")? as usize,
             count: doc.req_u64("shard.count")? as usize,
@@ -1188,7 +1176,7 @@ impl ShardCheckpoint {
 
     /// [`from_json`](ShardCheckpoint::from_json) over an already-parsed
     /// document — the entry point the dispatch protocol uses, where the
-    /// checkpoint arrives embedded in a `checkpoint` frame.
+    /// checkpoint arrives embedded in an `assign` frame.
     pub fn from_json_value(doc: &JsonValue) -> Result<ShardCheckpoint, WireError> {
         let ckpt = ShardCheckpoint {
             spec: ShardSpec {

@@ -20,9 +20,8 @@
 //! canonical text, so retrying a submission (same work, same shard
 //! count) attaches to the in-flight job or returns the cached result
 //! instead of running the matrix twice. A new job's shards enter a FIFO
-//! queue; idle registered workers whose declared
-//! [`WorkerCaps`] can execute the job are assigned one shard
-//! each; completions fill per-index slots. Delivery is
+//! queue; idle registered workers are assigned one shard each;
+//! completions fill per-index slots. Delivery is
 //! **at-least-once**: a dead worker's shard is re-queued, a straggler's
 //! shard is re-assigned while the original may still finish — so the
 //! same shard index can legitimately complete twice. The slot either-or
@@ -89,13 +88,11 @@ pub type ConnId = u64;
 #[derive(Copy, Clone, Debug)]
 pub struct DispatchConfig {
     /// A worker silent (no frame of any kind) for longer than this is
-    /// dead: it is dropped and its in-flight shard re-queued.
+    /// dead: it is dropped and its in-flight shard re-queued. Keep it
+    /// well above the workers' heartbeat cadence
+    /// ([`HEARTBEAT_INTERVAL_MS`](super::worker::HEARTBEAT_INTERVAL_MS)
+    /// for a default worker).
     pub worker_timeout_ms: u64,
-    /// Cadence workers send [`Message::Heartbeat`] at. The coordinator
-    /// does not enforce it directly — it only feeds `worker_timeout_ms`
-    /// — but the serve CLI hands it to workers so the two stay
-    /// consistent (timeout is a multiple of the cadence).
-    pub heartbeat_interval_ms: u64,
     /// A shard assigned for longer than this is re-queued even if its
     /// worker is still heartbeating (straggler hedge). The original
     /// worker keeps running — whichever completion arrives first wins,
@@ -113,23 +110,21 @@ pub struct DispatchConfig {
     /// At most this many distinct jobs in flight; submissions that
     /// would create one more are rejected `queue_full`.
     pub max_pending_jobs: usize,
-    /// Once a frame's first byte arrives, the rest must follow within
-    /// this deadline or the connection is dropped ([`ProtoError::Stalled`]).
-    /// Guards the reader threads against byte-dribbling peers; `0`
-    /// disables the deadline.
-    pub frame_deadline_ms: u64,
 }
+
+/// Once a frame's first byte arrives, the rest must follow within this
+/// deadline or the connection is dropped ([`ProtoError::Stalled`]).
+/// Guards the [`Server`]'s reader threads against byte-dribbling peers.
+const FRAME_DEADLINE_MS: u64 = 30_000;
 
 impl Default for DispatchConfig {
     fn default() -> Self {
         DispatchConfig {
             worker_timeout_ms: 10_000,
-            heartbeat_interval_ms: 1_000,
             shard_deadline_ms: 600_000,
             submit_burst: 10,
             submit_refill_ms: 1_000,
             max_pending_jobs: 64,
-            frame_deadline_ms: 30_000,
         }
     }
 }
@@ -273,16 +268,6 @@ struct WorkerState {
     caps: WorkerCaps,
     last_seen_ms: u64,
     assignment: Option<Assignment>,
-}
-
-impl WorkerState {
-    /// Whether this worker can execute `work` at all.
-    fn eligible(&self, work: &JobSpec) -> bool {
-        match work {
-            JobSpec::Catalog(_) => true,
-            JobSpec::Scenario(_) => self.caps.scenarios,
-        }
-    }
 }
 
 /// One in-flight job.
@@ -729,51 +714,35 @@ impl Coordinator {
         }
     }
 
-    /// Hands queued shards to idle workers, FIFO over jobs in key order.
-    /// Capability-aware: each shard goes to the first idle worker whose
-    /// declared caps can execute the job's work; a job no idle worker is
-    /// eligible for keeps its queue and yields the workers to the next
-    /// job.
+    /// Hands queued shards to idle workers, FIFO over jobs in key order:
+    /// each idle worker (in connection order) takes the next shard of the
+    /// first job with a non-empty queue.
     fn assign_pending(&mut self, now_ms: u64, actions: &mut Vec<Action>) {
         let Coordinator { jobs, workers, .. } = self;
-        let mut idle: Vec<ConnId> = workers
-            .iter()
-            .filter(|(_, w)| w.assignment.is_none())
-            .map(|(&conn, _)| conn)
-            .collect();
-        for (job_id, job) in jobs.iter_mut() {
-            while !job.queue.is_empty() {
-                let Some(pos) = idle
-                    .iter()
-                    .position(|conn| workers[conn].eligible(&job.work))
-                else {
-                    break;
-                };
-                let conn = idle.remove(pos);
-                let index = job.queue.pop_front().expect("checked non-empty");
-                let spec = ShardSpec {
-                    index,
-                    count: job.count,
-                };
-                workers
-                    .get_mut(&conn)
-                    .expect("idle workers are registered")
-                    .assignment = Some(Assignment {
+        for (&conn, worker) in workers.iter_mut().filter(|(_, w)| w.assignment.is_none()) {
+            let Some((job_id, job)) = jobs.iter_mut().find(|(_, j)| !j.queue.is_empty()) else {
+                return;
+            };
+            let index = job.queue.pop_front().expect("found non-empty");
+            let spec = ShardSpec {
+                index,
+                count: job.count,
+            };
+            worker.assignment = Some(Assignment {
+                job: job_id.clone(),
+                spec,
+                since_ms: now_ms,
+                hedged: false,
+            });
+            actions.push(Action::Send(
+                conn,
+                Message::Assign {
                     job: job_id.clone(),
+                    work: job.work.clone(),
                     spec,
-                    since_ms: now_ms,
-                    hedged: false,
-                });
-                actions.push(Action::Send(
-                    conn,
-                    Message::Assign {
-                        job: job_id.clone(),
-                        work: job.work.clone(),
-                        spec,
-                        checkpoint: job.checkpoints.get(&index).cloned(),
-                    },
-                ));
-            }
+                    checkpoint: job.checkpoints.get(&index).cloned(),
+                },
+            ));
         }
     }
 
@@ -804,7 +773,6 @@ impl Coordinator {
             .map(|w| WorkerStatus {
                 name: w.name.clone(),
                 cores: w.caps.cores,
-                scenarios: w.caps.scenarios,
                 last_seen_ms_ago: now_ms.saturating_sub(w.last_seen_ms),
                 assignment: w.assignment.as_ref().map(|a| AssignmentStatus {
                     job: a.job.clone(),
@@ -972,7 +940,6 @@ impl Server {
         // Accept loop: non-blocking with a short sleep so the stop flag
         // is honored promptly when the run bound is reached.
         self.listener.set_nonblocking(true)?;
-        let frame_deadline_ms = self.coordinator.cfg.frame_deadline_ms;
         let acceptor = {
             let listener = self.listener.try_clone()?;
             let tx = tx.clone();
@@ -998,13 +965,7 @@ impl Server {
                                 if tx.send(ConnEvent::Opened(conn, identity)).is_err() {
                                     return;
                                 }
-                                spawn_reader(
-                                    conn,
-                                    stream,
-                                    tx.clone(),
-                                    frame_deadline_ms,
-                                    Arc::clone(&clock),
-                                );
+                                spawn_reader(conn, stream, tx.clone(), Arc::clone(&clock));
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -1127,24 +1088,20 @@ impl Server {
 
 /// One reader thread: frames (or the reason the connection died) into the
 /// shared channel. A protocol violation ends the connection — same as a
-/// death, so the state machine has exactly one failure path. A non-zero
-/// `frame_deadline_ms` arms the per-frame stall deadline: the socket gets
-/// a short read timeout so the deadline is polled, and a peer that opens
-/// a frame but dribbles it out is dropped with [`ProtoError::Stalled`].
+/// death, so the state machine has exactly one failure path. Every frame
+/// runs under [`FRAME_DEADLINE_MS`]: the socket wakes the read once a
+/// second so the deadline is polled, and a peer that opens a frame but
+/// dribbles it out is dropped with [`ProtoError::Stalled`].
 fn spawn_reader(
     conn: ConnId,
     stream: TcpStream,
     tx: mpsc::Sender<ConnEvent>,
-    frame_deadline_ms: u64,
     clock: Arc<dyn Clock>,
 ) {
     std::thread::spawn(move || {
-        if frame_deadline_ms > 0 {
-            let poll = (frame_deadline_ms / 4).clamp(10, 1_000);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(poll)));
-        }
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
         let mut reader =
-            FrameReader::with_deadline(BufReader::new(stream), frame_deadline_ms, clock);
+            FrameReader::with_deadline(BufReader::new(stream), FRAME_DEADLINE_MS, clock);
         loop {
             match reader.next_message() {
                 Ok(Some(msg)) => {

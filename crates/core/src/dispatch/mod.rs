@@ -9,9 +9,9 @@
 //! shards, and the job-lifecycle machinery between them: idempotent
 //! submission keys, per-worker liveness via heartbeats, re-queue of
 //! shards from dead or straggling workers, per-submitter token-bucket
-//! rate limiting, capability-aware assignment, and a status frame for
-//! observability. The delivery contract is at-least-once with dedup at
-//! the coordinator's completion slots, which is safe precisely because
+//! rate limiting, and a status frame for observability. The delivery
+//! contract is at-least-once with dedup at the coordinator's completion
+//! slots, which is safe precisely because
 //! shard execution is deterministic and
 //! [`merge`](crate::campaign::merge) is order-insensitive: however many
 //! times a shard runs, its bytes are the same, and the merged
@@ -32,8 +32,8 @@
 //!   TCP shell ([`Server`]).
 //! * [`mod@status`] — the fleet snapshot ([`StatusReport`]) behind the
 //!   `status` frames and `repro status`.
-//! * [`worker`] — the worker loop: register with capabilities, execute,
-//!   heartbeat, and checkpoint shard progress.
+//! * [`worker`] — the worker loop: register, execute, heartbeat, and
+//!   checkpoint shard progress.
 //! * [`client`] — the blocking submitter (campaigns, scenarios, status
 //!   polls) with jittered-exponential-backoff reconnects.
 //! * [`journal`] — the coordinator's fsync'd write-ahead ledger; a
@@ -74,7 +74,7 @@ pub use proto::{
 pub use status::{
     AssignmentStatus, JobStatus, RateStatus, StatusCounters, StatusReport, WorkerStatus,
 };
-pub use worker::{run_worker, ShardRunner, WorkerOptions, WorkerSummary};
+pub use worker::{run_worker, ShardRunner, WorkerOptions, WorkerSummary, HEARTBEAT_INTERVAL_MS};
 
 use std::fmt;
 

@@ -1,5 +1,5 @@
-//! The worker half of the dispatcher: connect, register with declared
-//! capabilities, execute assigned shards, heartbeat throughout.
+//! The worker half of the dispatcher: connect, register, execute
+//! assigned shards, checkpoint after every cell, heartbeat throughout.
 //!
 //! A worker is deliberately dumb: it holds no job state, just a
 //! [`ShardRunner`] mapping `(campaign name, shard spec)` to an executed
@@ -14,12 +14,12 @@
 //! another worker already completed; it runs it anyway and the
 //! coordinator drops the duplicate.
 //!
-//! Registration declares [`WorkerCaps`] — cores and scenario support —
-//! which the coordinator's assignment respects: a worker registered with `scenarios: false` is never handed
-//! a scenario shard.
+//! Registration declares [`WorkerCaps`] (the host's core count, shown
+//! in the coordinator's status report).
 //!
-//! Heartbeats are sent from a separate thread on a fixed cadence so they
-//! keep flowing *while a shard executes* — the whole point: a worker
+//! Heartbeats are sent from a separate thread on a fixed cadence
+//! ([`HEARTBEAT_INTERVAL_MS`] by default) so they keep flowing *while a
+//! shard executes* — the whole point: a worker
 //! crunching a 10-minute shard is alive, not dead. Frame writes go
 //! through one mutex so a heartbeat can never interleave bytes into the
 //! middle of a `shard_done` frame.
@@ -73,23 +73,23 @@ where
     }
 }
 
+/// The heartbeat cadence of a default worker (what `repro work` runs
+/// with). A coordinator's `worker_timeout_ms` must stay well above it, or
+/// healthy workers are reaped between beats; `repro serve` refuses a
+/// timeout at or below twice this value.
+pub const HEARTBEAT_INTERVAL_MS: u64 = 1_000;
+
 /// Worker identity, capabilities and cadence.
 #[derive(Clone, Debug)]
 pub struct WorkerOptions {
     /// Label sent in [`Message::Register`]; shows up in coordinator logs.
     pub name: String,
-    /// Capabilities declared at registration; drives the coordinator's
-    /// capability-aware assignment. Defaults to probing the host
-    /// ([`WorkerCaps::detect`]).
+    /// Capabilities declared at registration. Defaults to probing the
+    /// host ([`WorkerCaps::detect`]).
     pub caps: WorkerCaps,
     /// Heartbeat cadence. Keep well below the coordinator's
-    /// `worker_timeout_ms` (the serve CLI uses timeout / 4).
+    /// `worker_timeout_ms`.
     pub heartbeat_interval_ms: u64,
-    /// Send an advisory `checkpoint` frame (protocol v2.1) after every
-    /// this many completed cells, so the coordinator can resume this
-    /// shard elsewhere if the worker dies. `0` disables checkpointing —
-    /// a v2 coordinator never sees the frame.
-    pub checkpoint_every_cells: usize,
 }
 
 impl Default for WorkerOptions {
@@ -97,8 +97,7 @@ impl Default for WorkerOptions {
         WorkerOptions {
             name: format!("worker:{}", std::process::id()),
             caps: WorkerCaps::detect(),
-            heartbeat_interval_ms: 1_000,
-            checkpoint_every_cells: 1,
+            heartbeat_interval_ms: HEARTBEAT_INTERVAL_MS,
         }
     }
 }
@@ -151,7 +150,7 @@ pub fn run_worker(
         })
     };
 
-    let result = worker_loop(reader, &writer, runner, opts);
+    let result = worker_loop(reader, &writer, runner);
     stop.store(true, Ordering::SeqCst);
     // Unblock the coordinator side promptly; the heartbeat thread exits
     // on its next tick either way.
@@ -206,7 +205,6 @@ fn worker_loop(
     reader: TcpStream,
     writer: &Mutex<TcpStream>,
     runner: &mut dyn ShardRunner,
-    opts: &WorkerOptions,
 ) -> Result<WorkerSummary, DispatchError> {
     let mut reader = FrameReader::new(BufReader::new(reader));
     let mut shards_run = 0usize;
@@ -222,18 +220,12 @@ fn worker_loop(
                 spec,
                 checkpoint,
             }) => {
-                // Advisory progress frames, through the same writer lock
-                // as heartbeats. A failed send is ignored here: losing a
-                // checkpoint costs re-simulation only, and if the
-                // coordinator is truly gone the `shard_done` write (or
-                // the read loop) surfaces it.
-                let every = opts.checkpoint_every_cells;
-                let mut cells_done = 0usize;
+                // Advisory progress frames after every cell, through the
+                // same writer lock as heartbeats. A failed send is ignored
+                // here: losing a checkpoint costs re-simulation only, and
+                // if the coordinator is truly gone the `shard_done` write
+                // (or the read loop) surfaces it.
                 let mut on_cell = |ckpt: &ShardCheckpoint| {
-                    cells_done += 1;
-                    if every == 0 || !cells_done.is_multiple_of(every) {
-                        return;
-                    }
                     let frame = Message::Checkpoint {
                         job: job.clone(),
                         checkpoint: ckpt.clone(),

@@ -80,7 +80,6 @@ impl ShardRunner for TinyRunner {
 fn chaos_cfg() -> DispatchConfig {
     DispatchConfig {
         worker_timeout_ms: 2_000,
-        heartbeat_interval_ms: 200,
         shard_deadline_ms: 4_000,
         submit_refill_ms: 0, // rate limiting off: retries are the point
         ..DispatchConfig::default()
@@ -132,7 +131,6 @@ fn spawn_chaos_worker(
     let opts = WorkerOptions {
         name: name.to_string(),
         heartbeat_interval_ms: 200,
-        checkpoint_every_cells: 1,
         ..WorkerOptions::default()
     };
     std::thread::spawn(move || {

@@ -1,7 +1,7 @@
 //! The dispatcher's job lifecycle on a hand-advanced clock: assignment,
 //! completion, heartbeat-timeout → re-queue, straggler hedging,
-//! duplicate-completion dedup, token-bucket rate limiting,
-//! capability-aware assignment and status snapshots — all driven through
+//! duplicate-completion dedup, token-bucket rate limiting and status
+//! snapshots — all driven through
 //! the pure [`Coordinator`] state machine, no socket or sleep anywhere.
 //! The timestamps come from a [`FakeClock`] exactly as the serve shell
 //! reads its `SystemClock`, so the deadline arithmetic under test is the
@@ -15,7 +15,6 @@ use strex::dispatch::{
     job_key, Action, Clock, Coordinator, DispatchConfig, Event, FakeClock, JobSpec, Message,
     RejectReason, WorkerCaps, WorkerLossReason,
 };
-use strex::scenario::{EvaluatorRegistry, Scenario};
 use strex_oltp::workload::{Workload, WorkloadKind};
 
 const CAMPAIGN: &str = "tiny";
@@ -43,34 +42,9 @@ fn tiny_sequential() -> CampaignResult {
     tiny_campaign(&workloads).run().expect("valid")
 }
 
-fn tiny_scenario() -> Scenario {
-    Scenario::from_json(
-        r#"{
-            "name": "tiny-scenario",
-            "matrix": {
-                "workloads": ["TPC-C-1"],
-                "pool": 8,
-                "seed": 7,
-                "small": true,
-                "schedulers": ["baseline"],
-                "cores": [2]
-            },
-            "assertions": [
-                {
-                    "kind": "throughput_at_least",
-                    "cell": {"workload": "TPC-C-1", "scheduler": "baseline", "cores": 2},
-                    "min": 0.0
-                }
-            ]
-        }"#,
-    )
-    .expect("valid scenario")
-}
-
 fn cfg() -> DispatchConfig {
     DispatchConfig {
         worker_timeout_ms: 1_000,
-        heartbeat_interval_ms: 250,
         shard_deadline_ms: 60_000,
         // Rate limiting off (refill 0 snaps the bucket full) so lifecycle
         // tests exercise one mechanism at a time; the rate-limit tests
@@ -82,14 +56,6 @@ fn cfg() -> DispatchConfig {
 
 fn coordinator() -> Coordinator {
     Coordinator::new(cfg(), [CAMPAIGN.to_string()])
-}
-
-/// Capabilities of a fully able test worker (scenario execution on).
-fn able_caps() -> WorkerCaps {
-    WorkerCaps {
-        cores: 2,
-        scenarios: true,
-    }
 }
 
 /// Drives `c` with `event` at the fake clock's current reading.
@@ -128,16 +94,6 @@ const WORKER_A: u64 = 2;
 const WORKER_B: u64 = 3;
 
 fn register(c: &mut Coordinator, clock: &FakeClock, conn: u64, name: &str) -> Vec<Action> {
-    register_with(c, clock, conn, name, able_caps())
-}
-
-fn register_with(
-    c: &mut Coordinator,
-    clock: &FakeClock,
-    conn: u64,
-    name: &str,
-    caps: WorkerCaps,
-) -> Vec<Action> {
     step(
         c,
         clock,
@@ -145,7 +101,7 @@ fn register_with(
             conn,
             Message::Register {
                 name: name.into(),
-                caps,
+                caps: WorkerCaps { cores: 2 },
             },
         ),
     )
@@ -504,73 +460,6 @@ fn a_full_queue_refuses_new_jobs_but_admits_attaches() {
     // it creates no new work.
     assert!(rejection_to(&submit_from(&mut c, &clock, 8, 1), 8).is_none());
     assert_eq!(c.open_jobs(), 1);
-}
-
-#[test]
-fn scenario_jobs_only_go_to_workers_that_declared_the_capability() {
-    let clock = Arc::new(FakeClock::new());
-    let mut c = coordinator();
-    // A v1-era worker (legacy caps: no scenario support) is connected and
-    // idle, but a scenario submission must not be handed to it.
-    register_with(&mut c, &clock, WORKER_A, "legacy", WorkerCaps::legacy());
-    let scenario = tiny_scenario();
-    let submitted = step(
-        &mut c,
-        &clock,
-        Event::Message(
-            SUBMITTER,
-            Message::Submit {
-                work: JobSpec::Scenario(Arc::new(scenario.clone())),
-                shards: 1,
-            },
-        ),
-    );
-    assert!(
-        assignment_to(&submitted, WORKER_A).is_none(),
-        "{submitted:?}"
-    );
-    assert_eq!(c.open_jobs(), 1, "the job waits rather than misassigning");
-
-    // A capable worker registers: the queued scenario shard goes to it,
-    // and the legacy worker can still serve catalog work meanwhile.
-    let able = register(&mut c, &clock, WORKER_B, "able");
-    let (job, spec) = assignment_to(&able, WORKER_B).expect("scenario shard assigned");
-    let catalog = submit_from(&mut c, &clock, 9, 1);
-    assert!(
-        assignment_to(&catalog, WORKER_A).is_some(),
-        "catalog work still flows to the legacy worker: {catalog:?}"
-    );
-
-    // Completing the scenario shard merges the matrix and evaluates the
-    // assertions coordinator-side: the delivered outcomes are exactly
-    // what a local evaluate of the same merged result produces.
-    let workloads = scenario.workloads();
-    let shard = scenario
-        .campaign(&workloads)
-        .run_shard(spec)
-        .expect("valid scenario shard");
-    let done = step(
-        &mut c,
-        &clock,
-        Event::Message(WORKER_B, Message::ShardDone { job, shard }),
-    );
-    let (result, outcomes) = done
-        .iter()
-        .find_map(|a| match a {
-            Action::Send(
-                to,
-                Message::Result {
-                    result, outcomes, ..
-                },
-            ) if *to == SUBMITTER => Some((result.clone(), outcomes.clone())),
-            _ => None,
-        })
-        .expect("scenario result delivered");
-    let local = scenario
-        .evaluate(&result, &EvaluatorRegistry::with_defaults())
-        .expect("evaluable");
-    assert_eq!(outcomes, local);
-    assert!(outcomes.iter().all(|o| o.passed), "{outcomes:?}");
 }
 
 #[test]

@@ -125,7 +125,7 @@ fn worker_killed_mid_shard_requeues_and_the_job_still_merges_identically() {
         &mut faulty,
         &Message::Register {
             name: "faulty".into(),
-            caps: WorkerCaps::legacy(),
+            caps: WorkerCaps { cores: 1 },
         },
     )
     .expect("register");

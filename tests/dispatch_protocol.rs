@@ -5,7 +5,9 @@
 //! byte-identically (what the coordinator's idempotency cache and the
 //! bit-identical-merge guarantee lean on). Both framings are covered:
 //! JSON lines for control frames and the length-prefixed binary frames
-//! that always carry `shard_done`/`checkpoint`/`result`.
+//! that are the only form of `shard_done`/`checkpoint`/`result`. Frames
+//! that omit a field the protocol sends, or carry a bulk type as a JSON
+//! line, are typed errors too.
 
 use std::io::BufReader;
 use std::sync::Arc;
@@ -72,7 +74,7 @@ fn job_specs() -> impl Strategy<Value = JobSpec> {
 }
 
 fn worker_caps() -> impl Strategy<Value = WorkerCaps> {
-    (1usize..256, any::<bool>()).prop_map(|(cores, scenarios)| WorkerCaps { cores, scenarios })
+    (1usize..256).prop_map(|cores| WorkerCaps { cores })
 }
 
 fn control_messages() -> impl Strategy<Value = Message> {
@@ -184,10 +186,9 @@ proptest! {
             frame[0]
         );
         if !bulk {
-            let line = msg.to_frame();
-            prop_assert_eq!(&frame, line.as_bytes(), "control frames are the JSON line");
-            prop_assert!(line.ends_with('\n'));
-            prop_assert!(!line[..line.len() - 1].contains('\n'), "one line per frame");
+            prop_assert_eq!(frame[0], b'{', "control frames are a JSON object");
+            prop_assert_eq!(frame.last(), Some(&b'\n'));
+            prop_assert!(!frame[..frame.len() - 1].contains(&b'\n'), "one line per frame");
         }
         let mut reader = BufReader::new(frame.as_slice());
         let parsed = read_message(&mut reader)
@@ -241,7 +242,7 @@ proptest! {
 
     #[test]
     fn truncating_a_valid_frame_is_a_typed_error(msg in control_messages(), cut in 0usize..64) {
-        let frame = msg.to_frame();
+        let frame = String::from_utf8(msg.to_frame_bytes()).expect("control frames are text");
         // Cut strictly inside the frame (losing at least the newline), on
         // a char boundary so the slice stays valid UTF-8 (invalid UTF-8 is
         // the Io arm, covered by the arbitrary-bytes case above).
@@ -269,18 +270,48 @@ proptest! {
     }
 
     #[test]
-    fn known_types_with_mangled_payloads_are_typed_errors(pick in 0usize..5, junk_pick in 0usize..6) {
-        let kind = ["submit", "register", "assign", "shard_done", "result"][pick];
+    fn known_types_with_mangled_payloads_are_typed_errors(
+        pick in 0usize..7,
+        junk_pick in 0usize..13,
+    ) {
+        let kind = ["submit", "register", "assign", "shard_done", "result", "checkpoint", "reject"]
+            [pick];
         // None of these fragments completes any message type's payload:
         // wrong field types, missing required fields, invalid shard specs.
+        // The last seven are what older peers sent and are refused now: a
+        // `register` without `cores`, a `reject` without `reason`, and the
+        // bulk types as JSON lines (with and without `outcomes`), their
+        // documents well-formed.
+        let shard = CampaignShard::from_parts(
+            ShardSpec::new(1, 3).expect("valid"),
+            Vec::new(),
+            CampaignPerf { workers: 1, wall_seconds: 0.5, total_events: 3 },
+        )
+        .expect("valid shard");
+        let whole = CampaignShard::from_parts(
+            ShardSpec::new(0, 1).expect("valid"),
+            Vec::new(),
+            CampaignPerf { workers: 1, wall_seconds: 0.5, total_events: 3 },
+        )
+        .expect("valid shard");
+        let result = merge([whole]).expect("one complete shard merges").to_json();
+        let checkpoint = ShardCheckpoint::new(ShardSpec::new(1, 3).expect("valid")).to_json();
         let junk = [
-            "",
-            ",\"shards\":\"four\"",
-            ",\"job\":17",
-            ",\"index\":9,\"count\":4",
-            ",\"shard\":[]",
-            ",\"result\":3",
-        ][junk_pick];
+            String::new(),
+            ",\"shards\":\"four\"".to_string(),
+            ",\"job\":17".to_string(),
+            ",\"index\":9,\"count\":4".to_string(),
+            ",\"shard\":[]".to_string(),
+            ",\"result\":3".to_string(),
+            ",\"name\":\"w\"".to_string(),
+            ",\"name\":\"w\",\"scenarios\":true".to_string(),
+            ",\"message\":\"nope\"".to_string(),
+            format!(",\"job\":\"j\",\"shard\":{}", shard.to_json()),
+            format!(",\"job\":\"j\",\"checkpoint\":{checkpoint}"),
+            format!(",\"job\":\"j\",\"outcomes\":[],\"result\":{result}"),
+            format!(",\"job\":\"j\",\"result\":{result}"),
+        ];
+        let junk = &junk[junk_pick];
         let frame = format!("{{\"type\":\"{kind}\"{junk}}}\n");
         match Message::parse_frame(&frame) {
             Err(ProtoError::Wire(_)) => {}
@@ -298,9 +329,9 @@ fn a_frame_split_across_reads_still_parses_once_whole() {
         work: JobSpec::Catalog("quick".into()),
         shards: 4,
     }
-    .to_frame();
+    .to_frame_bytes();
     let (head, tail) = frame.split_at(frame.len() / 2);
-    let joined = [head.as_bytes(), tail.as_bytes()].concat();
+    let joined = [head, tail].concat();
     let mut reader = BufReader::new(joined.as_slice());
     assert!(matches!(
         read_message(&mut reader).expect("parses"),
@@ -352,7 +383,6 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
         .expect("parses")
         .expect("one frame in");
     assert_eq!(parsed.to_frame_bytes(), frame);
-    assert_eq!(parsed.to_frame(), msg.to_frame(), "JSON twin agrees");
     assert!(
         strex::dispatch::read_message_buffered(&mut reader, &mut buf)
             .expect("clean EOF")
@@ -360,11 +390,10 @@ fn a_binary_frame_split_across_reads_still_parses_once_whole() {
     );
 }
 
-/// Protocol v2.1 `checkpoint` frames and the `Assign` resume field, in
-/// the JSON form readers still accept and in the frame the encoding rule
-/// emits: a parse → re-emit round trip must be byte-identical (cells
-/// and cursor fidelity is covered by `tests/checkpoint_resume.rs`; this
-/// is the frame layer).
+/// `checkpoint` frames (binary) and the `Assign` resume field (inside a
+/// JSON line), through the one encoder and the reader: a parse → re-emit
+/// round trip must be byte-identical (cells and cursor fidelity is
+/// covered by `tests/checkpoint_resume.rs`; this is the frame layer).
 mod checkpoint_frames {
     use super::*;
 
@@ -386,26 +415,24 @@ mod checkpoint_frames {
 
     #[test]
     fn checkpoint_frames_round_trip_byte_identically_in_both_wires() {
-        for msg in [checkpoint_msg(), assign_with_checkpoint()] {
-            let json = msg.to_frame();
-            let parsed = Message::parse_frame(&json).expect("own JSON parses");
-            assert_eq!(parsed.to_frame(), json);
-
-            let bin = msg.to_frame_bytes();
+        // A checkpoint crosses in both framings: binary in its own frame,
+        // JSON inside the `assign` that resumes it.
+        for (msg, binary) in [(checkpoint_msg(), true), (assign_with_checkpoint(), false)] {
+            let frame = msg.to_frame_bytes();
+            assert_eq!(strex::binwire::is_binary(frame[0]), binary);
             let mut buf = Vec::new();
-            let mut reader = BufReader::new(bin.as_slice());
+            let mut reader = BufReader::new(frame.as_slice());
             let parsed = strex::dispatch::read_message_buffered(&mut reader, &mut buf)
-                .expect("own binwire parses")
+                .expect("own frame parses")
                 .expect("one frame");
-            assert_eq!(parsed.to_frame_bytes(), bin);
-            assert_eq!(parsed.to_frame(), json, "JSON twin agrees");
+            assert_eq!(parsed.to_frame_bytes(), frame);
         }
     }
 
     #[test]
     fn a_v2_assign_without_the_checkpoint_field_still_parses() {
-        // v2 coordinators never send `checkpoint`; a v2.1 worker must
-        // accept their frames unchanged (absent field == fresh start).
+        // A fresh assignment carries no `checkpoint`: the absent field
+        // means "run from the first cell".
         let frame =
             "{\"type\":\"assign\",\"job\":\"j\",\"campaign\":\"tiny\",\"index\":0,\"count\":2}\n";
         match Message::parse_frame(frame).expect("v2 frame parses") {
@@ -488,7 +515,7 @@ mod frame_deadline {
         let clock = Arc::new(FakeClock::new());
         // One byte per 200 ms against a 500 ms frame deadline: the frame
         // can never complete, and the reader must say so in finite steps.
-        let peer = Dribbler::new(Message::Heartbeat.to_frame(), Arc::clone(&clock), 200);
+        let peer = Dribbler::new(Message::Heartbeat.to_frame_bytes(), Arc::clone(&clock), 200);
         let mut reader = FrameReader::with_deadline(peer, 500, clock);
         match reader.next_message() {
             Err(ProtoError::Stalled { ms }) => assert_eq!(ms, 500),
@@ -501,7 +528,7 @@ mod frame_deadline {
         let clock = Arc::new(FakeClock::new());
         // An hour of silence before the first byte, then a fast frame:
         // the timer starts at the first byte, so this parses cleanly.
-        let peer = Dribbler::new(Message::Heartbeat.to_frame(), Arc::clone(&clock), 1)
+        let peer = Dribbler::new(Message::Heartbeat.to_frame_bytes(), Arc::clone(&clock), 1)
             .with_initial_wait(3_600_000);
         let mut reader = FrameReader::with_deadline(peer, 500, clock);
         assert!(matches!(
@@ -516,8 +543,8 @@ mod frame_deadline {
         // Two heartbeats: the first dribbles in under the wire, the
         // second is cut off mid-frame by the deadline — per-frame means
         // the first frame's speed buys the second nothing.
-        let two = Message::Heartbeat.to_frame().repeat(2);
-        let frame_len = Message::Heartbeat.to_frame().len() as u64;
+        let two = Message::Heartbeat.to_frame_bytes().repeat(2);
+        let frame_len = Message::Heartbeat.to_frame_bytes().len() as u64;
         // Finish frame one with room to spare, then stall: the per-byte
         // step that lets ~2x frame-length polls through 500 ms.
         let step = 500 / (2 * frame_len + 2);
